@@ -1,22 +1,21 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per artefact) plus micro-benchmarks of the
-// hot paths: fuzzy assignment, compiled fixed-point inference and the
-// simulated switch pipeline. Experiment benchmarks use a reduced quick
-// preset (fewer flows/epochs) so `go test -bench=.` completes in
-// minutes; cmd/pegasus-bench runs the full-size versions.
+// evaluation (one benchmark per artefact) plus micro-benchmarks of
+// single-inference hot paths: compiled fixed-point inference, one PHV
+// pass through the simulated switch pipeline and the full-precision
+// CPU baseline. Experiment benchmarks use a reduced quick preset (fewer
+// flows/epochs) so `go test -bench=.` completes in minutes;
+// cmd/pegasus-bench runs the full-size versions. Engine, packet-path,
+// fan-out and serving throughput are measured by the benchmark in
+// bench/, not here.
 package pegasus
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"testing"
 
-	"github.com/pegasus-idp/pegasus/internal/core"
 	"github.com/pegasus-idp/pegasus/internal/experiments"
 	"github.com/pegasus-idp/pegasus/internal/models"
-	"github.com/pegasus-idp/pegasus/internal/netsim"
-	"github.com/pegasus-idp/pegasus/internal/pisa"
 	"github.com/pegasus-idp/pegasus/internal/tensor"
 )
 
@@ -110,171 +109,6 @@ func BenchmarkSwitchPipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		em.RunSwitch(v)
 	}
-}
-
-// BenchmarkEngineBatch compares sequential RunSwitch replay against the
-// batched flow-sharded pisa.Engine, on the emitted CNN-M program, in
-// both execution modes: the reference table interpreter and the
-// compiled zero-allocation execution plan. Per-op cost is one whole
-// batch; throughput is reported as pkts/s so future perf PRs have a
-// trajectory to beat. The interpreted/workers=1 vs compiled/workers=1
-// pair isolates the compile-to-plan gain; higher worker counts add the
-// sharding gain on top (shards run one goroutine each, so single-core
-// runners show only the sharding overhead).
-func BenchmarkEngineBatch(b *testing.B) {
-	m, xs := benchCompiled(b)
-	em, err := m.Emit(1 << 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := core.BatchJobsFromFloats(xs)
-	pktPerOp := float64(len(jobs))
-
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, j := range jobs {
-				em.RunSwitch(j.In)
-			}
-		}
-		b.ReportMetric(pktPerOp*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-	})
-	for _, mode := range []pisa.ExecMode{pisa.ExecInterpret, pisa.ExecCompiled} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
-				eng := em.NewEngineMode(workers, mode)
-				defer eng.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					eng.RunBatch(jobs)
-				}
-				b.ReportMetric(pktPerOp*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-			})
-		}
-	}
-}
-
-// BenchmarkEnginePackets measures the raw-trace per-packet path: the
-// merged test trace replayed through the extraction emission, so every
-// packet pays the flow-state register RMWs (window banking, counters)
-// and inference fires only on window boundaries. ReportAllocs pins the
-// zero-per-packet-allocation property of the compiled stateful path:
-// allocs/op is per whole-trace replay (result-slice assembly only), so
-// allocations per packet are allocs/op divided by pkts — effectively
-// zero.
-func BenchmarkEnginePackets(b *testing.B) {
-	ds := PeerRush(DataConfig{FlowsPerClass: 40, Seed: 2})
-	train, _, test := ds.Split(3)
-	rng := rand.New(rand.NewSource(2))
-	m := NewCNNM(ds.NumClasses(), rng)
-	m.Train(train, TrainOpts{Epochs: 10, Seed: 2})
-	if err := m.Compile(train); err != nil {
-		b.Fatal(err)
-	}
-	em, err := m.EmitPackets(1 << 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := models.PacketJobs(em, netsim.Merge(test))
-	pktPerOp := float64(len(jobs))
-
-	for _, mode := range []pisa.ExecMode{pisa.ExecInterpret, pisa.ExecCompiled} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
-				eng := em.NewPacketEngine(workers, mode)
-				defer eng.Close()
-				eng.ResetState()
-				eng.RunPackets(jobs) // warm the reusable buffers
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					eng.RunPackets(jobs)
-				}
-				b.ReportMetric(pktPerOp*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-			})
-		}
-	}
-}
-
-// BenchmarkSharedExtraction measures physically shared extraction on
-// the raw-trace path: three co-resident copies of the CNN-M classifier
-// served either by three fused private preludes (each packet pays the
-// flow-state register RMWs three times) or by one
-// core.EmitSharedExtraction machine fanning fired windows out to three
-// register-free subscribers (RMWs exactly once per packet). Both
-// variants report fully-served pkts/s — a trace packet counts once all
-// three models have seen it — so the two numbers are directly
-// comparable. ReportAllocs keeps the compiled stateful path honest:
-// allocs/op is per whole-trace replay (result-row assembly only), so
-// per-packet allocations stay effectively zero in both variants.
-func BenchmarkSharedExtraction(b *testing.B) {
-	ds := PeerRush(DataConfig{FlowsPerClass: 40, Seed: 2})
-	train, _, test := ds.Split(3)
-	rng := rand.New(rand.NewSource(2))
-	m := NewCNNM(ds.NumClasses(), rng)
-	m.Train(train, TrainOpts{Epochs: 10, Seed: 2})
-	if err := m.Compile(train); err != nil {
-		b.Fatal(err)
-	}
-	stream := netsim.Merge(test)
-	const nModels = 3
-
-	b.Run(fmt.Sprintf("private/models=%d", nModels), func(b *testing.B) {
-		var engs []*pisa.Engine
-		var jobs []pisa.PacketIn
-		for i := 0; i < nModels; i++ {
-			em, err := m.EmitPackets(1 << 10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if jobs == nil {
-				jobs = models.PacketJobs(em, stream)
-			}
-			eng := em.NewPacketEngine(1, pisa.ExecCompiled)
-			defer eng.Close()
-			eng.ResetState()
-			eng.RunPackets(jobs) // warm the reusable buffers
-			engs = append(engs, eng)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, eng := range engs {
-				eng.RunPackets(jobs)
-			}
-		}
-		b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-	})
-
-	b.Run(fmt.Sprintf("shared/models=%d", nModels), func(b *testing.B) {
-		shared, err := core.EmitSharedExtraction("px-shared-seq", pisa.Tofino2,
-			models.SharedWindowSpec(core.ExtractSeq), 1<<10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sched := pisa.NewScheduler(nModels + 1)
-		defer sched.Close()
-		ext := shared.Em.NewPacketEngineOn(sched, "ext", 1, pisa.ExecCompiled)
-		defer ext.Close()
-		fan := pisa.NewFanout(ext)
-		for i := 0; i < nModels; i++ {
-			em, err := m.EmitShared(shared)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng := em.NewEngineOn(sched, fmt.Sprintf("cnn-m#%d", i), 1, pisa.ExecCompiled)
-			defer eng.Close()
-			fan.Subscribe(eng)
-		}
-		jobs := models.PacketJobs(shared.Em, stream)
-		ext.ResetState()
-		fan.RunPackets(jobs) // warm the reusable buffers
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fan.RunPackets(jobs)
-		}
-		b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-	})
 }
 
 // BenchmarkFullPrecisionInference measures the CPU baseline of Figure 9d

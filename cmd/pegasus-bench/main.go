@@ -1,131 +1,40 @@
 // Command pegasus-bench regenerates the paper's evaluation tables and
-// figures on the synthetic substrate.
+// figures (Table 2/5/6, Figure 7/8/9) on the synthetic substrate.
 //
 // Usage:
 //
 //	pegasus-bench -experiment all
 //	pegasus-bench -experiment table5 -flows 90 -epochs 1.5
-//	pegasus-bench -experiment engine -smoke -engine-json BENCH_engine.json
-//	pegasus-bench -experiment multimodel -smoke -engine-json BENCH_engine.json
-//	pegasus-bench -experiment serving -smoke -engine-json BENCH_engine.json
-//	pegasus-bench -experiment resilience -smoke -engine-json BENCH_engine.json
-//	pegasus-bench -experiment scaling -engine-json BENCH_engine.json -cpuprofile cpu.pprof
 //
-// The "engine" experiment measures batched switch-replay throughput per
-// worker count; "multimodel" measures concurrent multi-model serving on
-// one shared-budget scheduler (solo vs shared per-model throughput);
-// "serving" exercises the serving control plane end to end — admission
-// latency on both outcomes, live-swap downtime with the co-resident
-// throughput dip, SLO tuner convergence, and the final metrics
-// snapshot; "resilience" measures overload protection and failure
-// recovery with the fault-injection harness — shed rate vs offered
-// load behind a reject-newest policy, and a poisoned canary swap's
-// auto-rollback latency with its post-rollback equivalence check;
-// "scaling" measures steady-state worker scaling under sustained
-// generated load (internal/trafficgen). -engine-json additionally
-// writes (or, for multimodel/serving/scaling/resilience, merges into)
-// the machine-readable report CI tracks. -smoke shrinks dataset,
-// training and measurement windows to a few seconds for CI.
-//
-// The -cpuprofile, -memprofile and -mutexprofile flags write pprof
-// profiles covering the selected experiment — the intended workflow for
-// hunting scheduler contention or hot-path regressions. Scheduler
-// workers label their goroutines with pegasus_worker (worker id) and
-// pegasus_session (model name), so CPU samples attribute per session
-// and per worker out of the box:
-//
-//	pegasus-bench -experiment scaling -cpuprofile cpu.pprof
-//	go tool pprof -tags cpu.pprof          # sample share per session/worker
-//	go tool pprof -tagfocus pegasus_session=cnn-m cpu.pprof
+// It measures accuracy and resources, not the speed of this system:
+// throughput and latency come from the benchmark in bench/
+// (go run -C bench .), and profiles from pegasus-run -cpuprofile,
+// go test -cpuprofile/-mutexprofile or the benchmark's --trace 1.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
+	"strings"
 
 	"github.com/pegasus-idp/pegasus/internal/experiments"
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "pegasus-bench:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
-	exp := flag.String("experiment", "all", "experiment to run: all, table2, table5, table6, fig7, fig8, fig9acc, fig9thr, engine, multimodel, sharedext, serving, resilience, scaling")
+	exp := flag.String("experiment", "all", "experiment to run: all, "+strings.Join(experiments.Names, ", "))
 	flows := flag.Int("flows", 60, "flows generated per traffic class")
 	epochs := flag.Float64("epochs", 1, "training budget multiplier")
 	seed := flag.Int64("seed", 1, "random seed")
-	smoke := flag.Bool("smoke", false, "CI smoke mode: tiny dataset, minimal training, short measurements")
-	engineJSON := flag.String("engine-json", "", "write the engine experiment's machine-readable report to this path")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the experiment to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment to this path")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile covering the experiment to this path")
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *mutexProfile != "" {
-		runtime.SetMutexProfileFraction(5)
-		defer func() {
-			f, err := os.Create(*mutexProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pegasus-bench: mutex profile:", err)
-				return
-			}
-			defer f.Close()
-			if err := pprof.Lookup("mutex").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "pegasus-bench: mutex profile:", err)
-			}
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pegasus-bench: heap profile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "pegasus-bench: heap profile:", err)
-			}
-		}()
-	}
-
-	cfg := experiments.Config{
+	suite := experiments.NewSuite(experiments.Config{
 		FlowsPerClass: *flows,
 		Epochs:        *epochs,
 		Seed:          *seed,
-		EngineJSON:    *engineJSON,
+	})
+	if err := suite.Run(*exp, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "pegasus-bench:", err)
+		os.Exit(1)
 	}
-	if *smoke {
-		// Smoke defaults yield to explicitly passed flags.
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if !set["flows"] {
-			cfg.FlowsPerClass = 12
-		}
-		if !set["epochs"] {
-			cfg.Epochs = 0.05
-		}
-		cfg.MeasureMS = 50
-	}
-	suite := experiments.NewSuite(cfg)
-	return suite.Run(*exp, os.Stdout)
 }

@@ -1,5 +1,5 @@
 // Package faultinject is a deterministic fault-injection registry for
-// resilience testing: tests and the "resilience" experiment arm named
+// resilience testing: tests and drills arm named
 // faults (a stalled scheduler worker, a slow or panicking execution
 // plan, a failing swap warm, a poisoned canary) and the production
 // code paths in pisa and serve probe them at well-defined points.

@@ -144,7 +144,7 @@
 //	    Canary: &pegasus.CanaryOptions{Fraction: 0.25, MaxDisagree: 0.01}})
 //	if rep.RolledBack { log.Println("rolled back:", rep.RollbackReason) }
 //
-// The fault-injection harness behind the resilience experiment is
+// The fault-injection harness behind the resilience tests is
 // exported too (FaultArm/FaultReset and the Fault* points): tests and
 // drills can stall a worker, slow or panic a session's plan, fail a
 // swap warm-up, or poison a canary's observed classes.
@@ -544,10 +544,9 @@ type (
 	GatedServedVerdict = serve.GatedVerdict
 )
 
-// Fault-injection harness: deterministic failure drills for tests and
-// the resilience experiment. Arm a point (optionally keyed to one
-// session label), with an optional delay payload and shot budget;
-// Reset disarms everything.
+// Fault-injection harness: deterministic failure drills for tests. Arm
+// a point (optionally keyed to one session label), with an optional
+// delay payload and shot budget; Reset disarms everything.
 var (
 	// FaultArm arms an injection point (key "" matches any session;
 	// shots ≤ 0 means unlimited).
@@ -702,10 +701,13 @@ var AUCFromScores = metrics.AUCFromScores
 
 // RunExperiment regenerates one of the paper's tables/figures ("all",
 // "table2", "table5", "table6", "fig7", "fig8", "fig9acc", "fig9thr"),
-// writing the report to w.
+// writing the report to w. Any other name is an error that lists
+// these. The system's own throughput and latency are measured by the
+// benchmark in bench/, not by an experiment.
 func RunExperiment(name string, w io.Writer, cfg ExperimentConfig) error {
 	return experiments.NewSuite(cfg).Run(name, w)
 }
 
-// ExperimentConfig scales RunExperiment.
+// ExperimentConfig scales RunExperiment: dataset size, training budget
+// and seed.
 type ExperimentConfig = experiments.Config
