@@ -305,6 +305,7 @@ func runPackets(m *models.Feedforward, test []netsim.Flow, workers int, execMode
 		total, elapsed.Round(time.Microsecond), float64(total)/elapsed.Seconds(), eng.Workers(), execMode)
 	fmt.Printf("                  %d windows fired, %d/%d correct (%.4f) — per-packet register extraction on-switch\n",
 		fires, hit, fires, acc)
+	fmt.Printf("                  plan split: %v\n", eng.PlanSplit())
 	fmt.Println()
 	fmt.Print(emp.Summary())
 }
@@ -603,7 +604,7 @@ func runMultiModels(names []string, k int, train, test []netsim.Flow, epochs int
 	if canaryMsg != "" {
 		fmt.Println(canaryMsg)
 	}
-	fmt.Printf("%-8s %4s %6s %14s %10s %8s %10s %8s %-18s\n", "model", "ver", "weight", "pkt/s", "accuracy", "occ", "batches", "shed", "sharing")
+	fmt.Printf("%-8s %4s %6s %14s %10s %8s %10s %8s %-18s %s\n", "model", "ver", "weight", "pkt/s", "accuracy", "occ", "batches", "shed", "sharing", "units pkt/fire/tail-pipes")
 	for i, m := range ms {
 		st := m.Stats()
 		for j, r := range last[i] {
@@ -617,9 +618,10 @@ func runMultiModels(names []string, k int, train, test []netsim.Flow, epochs int
 		if spec, subs, ok := m.SharedMachine(); ok {
 			sharing = fmt.Sprintf("px-shared-%v (%d)", spec.Kind, len(subs))
 		}
-		fmt.Printf("%-8s %4d %6d %14.3g %10.4f %7.1f%% %10d %8d %-18s\n",
+		split := m.PlanSplit()
+		fmt.Printf("%-8s %4d %6d %14.3g %10.4f %7.1f%% %10d %8d %-18s %d/%d/%d\n",
 			m.Name(), m.Version(), m.Weight(), float64(st.Packets)/wall.Seconds(), acc,
-			100*occ, st.Tasks, st.Shed, sharing)
+			100*occ, st.Tasks, st.Shed, sharing, split.PerPacket, split.PerFire, split.TailPipes)
 	}
 
 	// Measured per-packet RMW saving: replay the merged raw test trace

@@ -90,17 +90,40 @@ func expectSeq(em *core.Emitted, stream []netsim.StreamPacket) []fireExpectation
 	return exp
 }
 
+// registerBanks copies the final contents of every register of every
+// pipe of em.
+func registerBanks(em *core.Emitted) [][]int32 {
+	var banks [][]int32
+	for _, p := range em.Programs() {
+		for _, r := range p.Registers {
+			cells := make([]int32, r.Size)
+			for c := range cells {
+				cells[c] = r.Get(c)
+			}
+			banks = append(banks, cells)
+		}
+	}
+	return banks
+}
+
 // checkFires replays the merged trace through the packet engine in both
 // execution modes and requires the fired packets and their results to
-// match the host-side expectation bit for bit.
+// match the host-side expectation bit for bit. The interpreter runs
+// every table on every packet while compiled plans run their stateless
+// tail on fired packets only, so the two modes must also agree on the
+// register RMW count and on every final register cell: skipping the
+// tail leaves flow state untouched.
 func checkFires(t *testing.T, name string, em *core.Emitted, stream []netsim.StreamPacket,
 	exp []fireExpectation, checkClass bool) {
 	t.Helper()
 	jobs := PacketJobs(em, stream)
+	var refRMWs uint64
+	var refBanks [][]int32
 	for _, mode := range []pisa.ExecMode{pisa.ExecInterpret, pisa.ExecCompiled} {
 		eng := em.NewPacketEngine(4, mode)
 		eng.ResetState()
 		res := eng.RunPackets(jobs)
+		rmws, banks := eng.Stats().RegRMWs, registerBanks(em)
 		eng.Close()
 		if len(res) != len(exp) {
 			t.Fatalf("%s [%v]: %d fires, host expects %d", name, mode, len(res), len(exp))
@@ -119,6 +142,21 @@ func checkFires(t *testing.T, name string, em *core.Emitted, stream []netsim.Str
 						t.Fatalf("%s [%v]: packet %d out[%d] = %d, host expects %d",
 							name, mode, r.Pkt, j, r.Outs[j], e.outs[j])
 					}
+				}
+			}
+		}
+		if mode == pisa.ExecInterpret {
+			refRMWs, refBanks = rmws, banks
+			continue
+		}
+		if rmws != refRMWs {
+			t.Fatalf("%s: compiled plans executed %d register RMWs, interpreter %d", name, rmws, refRMWs)
+		}
+		for r := range refBanks {
+			for c, want := range refBanks[r] {
+				if banks[r][c] != want {
+					t.Fatalf("%s: register %d cell %d = %d after compiled replay, interpreter left %d",
+						name, r, c, banks[r][c], want)
 				}
 			}
 		}

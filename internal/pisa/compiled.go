@@ -44,6 +44,12 @@ import (
 // registers; it adds no mutable state of its own, so one plan may be
 // shared by any number of goroutines as long as each supplies its own
 // PHV. Process performs zero heap allocations.
+//
+// A plan also knows where its stateless tail begins (statelessFrom):
+// the trailing units that touch no register and do not write a given
+// fire field are pure functions of the PHV, which is what lets the
+// packet engine run them only on the packets that fire a window (see
+// Engine.ConfigurePackets for the rule and its soundness argument).
 type CompiledProgram struct {
 	name  string
 	units []execUnit
@@ -148,6 +154,28 @@ func (cp *CompiledProgram) seal() {
 		}
 		cp.procs[i] = gateWrap(u, cp.lowerUnit(u))
 	}
+}
+
+// noField is the FieldID no layout allocates: statelessFrom's "this
+// pipe has no fire field" argument.
+const noField FieldID = -1
+
+// statelessFrom returns the index of the first unit of the plan's
+// longest stateless suffix: the trailing units none of whose ops
+// accesses a register (Op.regAccess() >= 0) or writes fire. A merged
+// always-unit is stateful if any of its ops is. len(units) means the
+// last unit is stateful (empty suffix), 0 that the whole plan is
+// stateless.
+func (cp *CompiledProgram) statelessFrom(fire FieldID) int {
+	for i := len(cp.units) - 1; i >= 0; i-- {
+		for k := range cp.units[i].action {
+			op := &cp.units[i].action[k]
+			if op.regAccess() >= 0 || (op.writesDst() && op.Dst == fire) {
+				return i + 1
+			}
+		}
+	}
+	return 0
 }
 
 func (cp *CompiledProgram) addTable(t *Table) {
@@ -357,17 +385,20 @@ func elementaryLows(rules [][]span, d int, wm uint64) []uint32 {
 
 // intervalRow returns the index of the greatest interval start ≤ k;
 // lows is ascending with lows[0] == 0, so the result is always valid.
+// The search is a branch-free lower-bound loop: the key is a packet
+// length or inter-arrival bucket no branch predictor can guess, so the
+// comparison becomes a sign mask (all ones when lows[probe] ≤ k) that
+// selects the step, and the only branch left is the loop's own, which
+// depends on len(lows) alone.
 func intervalRow(lows []uint32, k uint32) int {
-	lo, hi := 0, len(lows)-1
-	for lo < hi {
-		mid := int(uint(lo+hi+1) >> 1)
-		if lows[mid] <= k {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	base := 0
+	for n := len(lows); n > 1; {
+		half := n >> 1
+		le := (int64(lows[base+half]) - int64(k) - 1) >> 63
+		base += half & int(le)
+		n -= half
 	}
-	return lo
+	return base
 }
 
 // buildInterval lowers a single-field rule set into elementary
@@ -485,7 +516,12 @@ func (cp *CompiledProgram) Name() string { return cp.name }
 // to Program.Process on the source program and performs no heap
 // allocation; the PHV supplies the scratch buffer for generic scans.
 func (cp *CompiledProgram) Process(phv *PHV) {
-	for _, f := range cp.procs {
+	cp.processRange(phv, 0, len(cp.procs))
+}
+
+// processRange runs units [lo, hi) of the plan on phv, in order.
+func (cp *CompiledProgram) processRange(phv *PHV, lo, hi int) {
+	for _, f := range cp.procs[lo:hi] {
 		f(phv)
 	}
 }

@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -74,6 +75,17 @@ func (m ExecMode) String() string {
 // packet through every program in order, copying the bridged PHV fields
 // between consecutive pipes, so batched replay over a split program
 // classifies bit-identically to the single-pipe emission.
+//
+// Raw-packet replay (ConfigurePackets) is fire-sliced on compiled
+// engines: the chain is cut once, at plan time, at the start of its
+// stateless tail — the longest suffix of pipe 0's plan units plus every
+// later pipe in which no unit accesses a register or writes the fire
+// field. Every packet runs the prefix (the extraction state machines);
+// only the packets that raise fire run the tail (the inference), which
+// is 1 packet in Window. ConfigurePackets states why that is
+// unobservable; there is no option to turn it off, and ExecInterpret
+// engines — the reference the differential tests compare against — run
+// every table on every packet.
 type Engine struct {
 	name    string
 	progs   []*Program
@@ -125,8 +137,36 @@ type Engine struct {
 	stats []statShard
 
 	// Per-packet replay state (ConfigurePackets).
-	meta     *PacketMeta
-	skipTail bool // later pipes are stateless: skip them on non-fire packets
+	meta *PacketMeta
+	// split is where the chain divides into the units every packet runs
+	// and the stateless tail only fired packets run; cut is the same
+	// point as a unit index into plans[0].
+	split PlanSplit
+	cut   int
+}
+
+// PlanSplit reports how an engine divides its program chain between
+// the packets of a raw trace: PerPacket units run on every packet,
+// PerFire units — the stateless tail — only on the packets that raise
+// PacketMeta.Fire, and TailPipes of the chain's later pipes lie wholly
+// inside that tail. Units are plan units (one specialised table or one
+// merged run of always-tables) on ExecCompiled engines and tables on
+// ExecInterpret engines, which slice nothing: everything is PerPacket.
+// The same holds for engines without ConfigurePackets, where every job
+// is a whole window and runs the whole chain.
+//
+// Counters attached to tables later (ROADMAP 4(a)'s per-table hit
+// counters) inherit the split: in compiled mode a tail table counts
+// once per fired window, not once per packet; only the interpreter
+// counts every table on every packet.
+type PlanSplit struct {
+	PerPacket int
+	PerFire   int
+	TailPipes int
+}
+
+func (s PlanSplit) String() string {
+	return fmt.Sprintf("%d per-packet units / %d per-fire units / %d pipes in the tail", s.PerPacket, s.PerFire, s.TailPipes)
 }
 
 // shardRes is one shard's dense fire staging for the per-packet path:
@@ -210,7 +250,9 @@ type PacketMeta struct {
 	// payload models).
 	Fields []FieldID
 	// Fire is set non-zero by the program when this packet completed a
-	// feature window and the inference result is valid.
+	// feature window and the inference result is valid. Compiled engines
+	// read it as soon as the last unit that can write it (or touch a
+	// register) has run, and skip the rest of the chain when it is zero.
 	Fire FieldID
 }
 
@@ -295,6 +337,13 @@ func (s *Scheduler) newSession(name string, weight int, progs []*Program, bridge
 		e.plans = make([]*CompiledProgram, len(progs))
 		for k, p := range progs {
 			e.plans[k] = CompileProgram(p)
+			e.split.PerPacket += len(e.plans[k].units)
+		}
+	} else {
+		for _, p := range progs {
+			for _, st := range p.Stages {
+				e.split.PerPacket += len(st.Tables)
+			}
 		}
 	}
 	e.phvs = make([][]*PHV, shards)
@@ -762,22 +811,52 @@ func (e *Engine) RunStream(in <-chan Job, out chan<- Result) int {
 // inference result whenever the program raises meta.Fire. The meta
 // fields must live in the first pipe's layout (the extraction state
 // machines of a multi-pipe emission always run in pipe 0).
+//
+// On ExecCompiled engines it also fixes the fire-sliced split of the
+// chain. Extraction runs on every packet but inference is wanted once
+// per window, and the fused emission puts both in one chain; so the
+// chain — pipe 0's plan units followed by every later pipe — is cut at
+// the start of its stateless tail: the longest suffix in which no unit
+// performs a register access or writes meta.Fire. Every packet runs
+// the prefix; the engine then reads meta.Fire and runs the tail only
+// when it is raised. A later pipe that owns a register op puts the cut
+// at the end of the chain (nothing is skipped and that register sees
+// every packet). Skipping the tail on a non-firing packet changes
+// nothing observable: the tail writes no register, so flow state and
+// RegRMWs are untouched; it cannot change the fire flag, which is
+// final once the prefix has run; what it writes to the PHV is zeroed
+// by the per-packet Reset before the next packet reads it; and the
+// engine reads class and outputs on fired packets only, where the tail
+// did run. ExecInterpret engines slice nothing — the interpreter runs
+// every table of every pipe on every packet and stays the reference
+// the compiled split is tested against.
 func (e *Engine) ConfigurePackets(meta PacketMeta) {
 	m := meta
 	e.meta = &m
-	// When every later pipe is stateless (the emitted shape: extraction
-	// registers live in pipe 0 only), non-firing packets need not run
-	// the downstream inference chain at all — Window−1 of every Window
-	// packets skip it. A stateful later pipe forces the full chain so
-	// its registers still see every packet.
-	e.skipTail = true
-	for _, p := range e.progs[1:] {
-		if len(p.Registers) > 0 {
-			e.skipTail = false
+	if e.mode == ExecInterpret {
+		return
+	}
+	// Recomputed from the whole-chain unit count, so reconfiguring with
+	// another meta starts clean.
+	total := e.split.PerPacket + e.split.PerFire
+	units0 := len(e.plans[0].units)
+	e.cut = e.plans[0].statelessFrom(meta.Fire)
+	tail := PlanSplit{PerFire: units0 - e.cut}
+	for _, cp := range e.plans[1:] {
+		if cp.statelessFrom(noField) != 0 {
+			e.cut, tail = units0, PlanSplit{}
 			break
 		}
+		tail.PerFire += len(cp.units)
+		tail.TailPipes++
 	}
+	tail.PerPacket = total - tail.PerFire
+	e.split = tail
 }
+
+// PlanSplit returns the engine's per-packet / per-fire division of its
+// program chain.
+func (e *Engine) PlanSplit() PlanSplit { return e.split }
 
 // RunPackets pushes a trace of raw packets through the program chain:
 // every packet updates the flow-state registers; packets that complete
@@ -899,11 +978,15 @@ func (e *Engine) RunPacketStream(in <-chan PacketIn, out chan<- PacketResult) (p
 // runPacketShard replays the given packet indices in order on shard s's
 // PHVs, appending an inference record to the shard's private fire
 // staging for every packet whose fire field is raised by pipe 0.
+// Compiled engines run the chain's per-packet prefix, read fire, and
+// run the stateless tail on fired packets only (see ConfigurePackets);
+// the interpreter runs the whole chain on every packet.
 func (e *Engine) runPacketShard(s int, pkts []PacketIn, idx []int) {
 	phvs := e.phvs[s]
 	sr := &e.shardRes[s]
 	interp := e.mode == ExecInterpret
 	meta := e.meta
+	cut, sliced := e.cut, e.split.PerFire > 0
 	rmw0 := phvRMWs(phvs)
 	for _, i := range idx {
 		phv := phvs[0]
@@ -915,11 +998,14 @@ func (e *Engine) runPacketShard(s int, pkts []PacketIn, idx []int) {
 		if interp {
 			e.progs[0].Process(phv)
 		} else {
-			e.plans[0].Process(phv)
+			e.plans[0].processRange(phv, 0, cut)
 		}
 		fire := phv.Get(meta.Fire) != 0
-		if !fire && e.skipTail {
+		if !fire && sliced {
 			continue
+		}
+		if !interp {
+			e.plans[0].processRange(phv, cut, len(e.plans[0].procs))
 		}
 		for k := 1; k < len(e.progs); k++ {
 			next := phvs[k]

@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -130,6 +131,371 @@ func TestStatefulDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// slicedChain is a packet program chain plus the handles a packet engine
+// needs, as built by the fire-slicing tests.
+type slicedChain struct {
+	progs   []*Program
+	bridges []Bridge
+	meta    PacketMeta
+	outs    []FieldID
+	class   FieldID
+}
+
+// tailIO names the fields a stateless tail reads and writes, in the
+// layout of the pipe it is placed in.
+type tailIO struct {
+	sel, val, fire FieldID
+	src            []FieldID // prefix results (and, once written, outs)
+	outs           []FieldID
+	class          FieldID
+}
+
+// addRandTail appends n random register-free tables that never write
+// fire — always-runs (merge and constant-fold candidates), direct and
+// hashed exact tables, interval and bitmap ternary tables, a third of
+// them gated on the fire flag — and a closing class write. One table
+// per stage keeps the intra-stage hazard check out of the way.
+func addRandTail(rng *rand.Rand, prog *Program, stage int, io tailIO, n int) {
+	src := func() FieldID { return io.src[rng.Intn(len(io.src))] }
+	dst := func() FieldID { return io.outs[rng.Intn(len(io.outs))] }
+	data := func(n int) []int32 {
+		d := make([]int32, n)
+		for i := range d {
+			d[i] = int32(rng.Intn(400) - 200)
+		}
+		return d
+	}
+	gate := func() *Gate {
+		switch rng.Intn(6) {
+		case 0:
+			return &Gate{Field: io.fire, Op: GateNE, Value: 0}
+		case 1:
+			return &Gate{Field: io.fire, Op: GateEQ, Value: 0} // runs on non-fire packets only
+		}
+		return nil
+	}
+	hitOps := func() []Op {
+		return []Op{
+			{Kind: OpSetData, Dst: dst(), DataIdx: 0},
+			{Kind: OpAddData, Dst: dst(), A: src(), DataIdx: 1},
+		}
+	}
+	maybeDef := func() []int32 {
+		if rng.Intn(2) == 0 {
+			return data(2)
+		}
+		return nil
+	}
+	for t := 0; t < n; t++ {
+		tbl := &Table{Name: nm("tail", t), Gate: gate()}
+		switch rng.Intn(5) {
+		case 0: // always-run
+			tbl.Kind, tbl.DefaultData = MatchNone, data(2)
+			tbl.Action = []Op{
+				{Kind: OpSatAdd, Dst: dst(), A: src(), B: src()},
+				{Kind: OpAddData, Dst: dst(), A: src(), DataIdx: rng.Intn(2)},
+				{Kind: OpSelGE, Dst: dst(), A: src(), B: src(), Imm: int32(rng.Intn(9))},
+			}
+		case 1: // narrow exact -> direct index
+			tbl.Kind, tbl.KeyFields, tbl.KeyWidths = MatchExact, []FieldID{io.sel}, []int{2}
+			for k := 0; k < 3; k++ {
+				tbl.Entries = append(tbl.Entries, Entry{Key: []uint32{uint32(rng.Intn(4))}, Data: data(2)})
+			}
+			tbl.Action, tbl.DefaultData = hitOps(), maybeDef()
+		case 2: // two-field exact -> hash
+			tbl.Kind, tbl.KeyFields, tbl.KeyWidths = MatchExact, []FieldID{io.sel, io.val}, []int{2, 4}
+			for k := 0; k < 12; k++ {
+				tbl.Entries = append(tbl.Entries, Entry{Key: []uint32{uint32(rng.Intn(3)), uint32(rng.Intn(16))}, Data: data(2)})
+			}
+			tbl.Action, tbl.DefaultData = hitOps(), maybeDef()
+		case 3: // wide single-field prefix ternary -> interval search
+			tbl.Kind, tbl.KeyFields, tbl.KeyWidths = MatchTernary, []FieldID{src()}, []int{16}
+			for k := 0; k < 8; k++ {
+				mask := widthMask(16) &^ widthMask(16-rng.Intn(17))
+				tbl.Entries = append(tbl.Entries, Entry{Key: []uint32{rng.Uint32() & mask}, Mask: []uint32{mask}, Data: data(2)})
+			}
+			tbl.Action, tbl.DefaultData = hitOps(), maybeDef()
+		default: // two-field prefix ternary -> bitmap
+			tbl.Kind, tbl.KeyFields, tbl.KeyWidths = MatchTernary, []FieldID{io.val, src()}, []int{8, 14}
+			for k := 0; k < 8; k++ {
+				m0 := widthMask(8) &^ widthMask(8-rng.Intn(9))
+				m1 := widthMask(14) &^ widthMask(14-rng.Intn(15))
+				tbl.Entries = append(tbl.Entries, Entry{Key: []uint32{rng.Uint32() & m0, rng.Uint32() & m1},
+					Mask: []uint32{m0, m1}, Data: data(2)})
+			}
+			tbl.Action, tbl.DefaultData = hitOps(), maybeDef()
+		}
+		prog.Place(stage, tbl)
+		stage++
+	}
+	// Gated like the emitted argmax writeback, so it never merges into a
+	// stateful always-unit ahead of it and the tail is never empty.
+	prog.Place(stage, &Table{Name: "class", Kind: MatchNone, DefaultData: []int32{},
+		Gate:   &Gate{Field: io.fire, Op: GateNE, Value: 0},
+		Action: []Op{{Kind: OpAndImm, Dst: io.class, A: io.outs[0], Imm: 7}}})
+}
+
+// randSlicedChain builds a random fused packet program in the emitted
+// shape: a stateful prefix — slot derivation, a data-dependent fire
+// write, selector-gated register RMWs and one RMW gated on fire — and
+// a random stateless tail, which with two pipes starts in pipe 0 and
+// continues behind a bridge in a register-free second pipe. It returns
+// the chain and the number of plan units the prefix compiles to.
+func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChain, int) {
+	t.Helper()
+	big := Tofino2.Pipes(4)
+	var l Layout
+	hash := l.MustAdd("hash", 32)
+	slot := l.MustAdd("slot", 32)
+	sel := l.MustAdd("sel", 8)
+	val := l.MustAdd("val", 16)
+	fire := l.MustAdd("fire", 8)
+	var st, outs []FieldID
+	for i := 0; i < 4; i++ {
+		st = append(st, l.MustAdd(nm("st", i), 32))
+	}
+	for i := 0; i < 4; i++ {
+		outs = append(outs, l.MustAdd(nm("out", i), 32))
+	}
+	class := l.MustAdd("class", 8)
+	prog := NewProgram("sliced-fuzz", &l, big)
+
+	// Unit 1: slot and fire, merged into one always-unit. Fire is raised
+	// when 0 < val&3 < sel: about one packet in twelve.
+	prog.Place(0, &Table{Name: "slot", Kind: MatchNone, DefaultData: []int32{},
+		Action: []Op{{Kind: OpAndImm, Dst: slot, A: hash, Imm: int32(slots - 1)}}})
+	prog.Place(1, &Table{Name: "fire", Kind: MatchNone, DefaultData: []int32{},
+		Action: []Op{
+			{Kind: OpAndImm, Dst: fire, A: val, Imm: 3},
+			{Kind: OpSelGE, Dst: fire, A: fire, B: sel, Imm: 0}, // fire = 0 unless val&3 < sel
+		}})
+	units, stage := 1, 2
+	kinds := []OpKind{OpRegAdd, OpRegMax, OpRegMin, OpRegExch, OpRegStore, OpRegLoad, OpRegCntRestart}
+	addReg := func(name string) int {
+		reg, err := NewRegisterInit(name, []int{8, 16, 32}[rng.Intn(3)], slots, int32(rng.Intn(7)-3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog.AddRegister(reg)
+	}
+	for r := 0; r < 1+rng.Intn(3); r++ {
+		ri := addReg(nm("r", r))
+		for u := 0; u < 1+rng.Intn(3); u++ {
+			prog.Place(stage, &Table{Name: nm(nm("rmw", r), u), Kind: MatchNone, DefaultData: []int32{},
+				Gate:   &Gate{Field: sel, Op: GateEQ, Value: int32(u)},
+				Action: []Op{{Kind: kinds[rng.Intn(len(kinds))], Reg: ri, Dst: st[rng.Intn(len(st))], A: slot, B: val, Imm: int32(rng.Intn(50))}}})
+			stage++
+			units++
+		}
+	}
+	// The window-completing packet's own RMW (bank restore / counter
+	// restart in the emitted programs), gated on fire.
+	prog.Place(stage, &Table{Name: "on_fire", Kind: MatchNone, DefaultData: []int32{},
+		Gate:   &Gate{Field: fire, Op: GateNE, Value: 0},
+		Action: []Op{{Kind: OpRegAdd, Reg: addReg("rf"), Dst: st[3], A: slot, B: val}}})
+	stage++
+	units++
+	// Every packet's last RMW: the unit the cut must not swallow.
+	prog.Place(stage, &Table{Name: "count", Kind: MatchNone, DefaultData: []int32{},
+		Action: []Op{{Kind: OpRegAdd, Reg: addReg("rn"), Dst: st[0], A: slot, B: sel}}})
+	stage++
+	units++
+
+	c := slicedChain{progs: []*Program{prog}, meta: PacketMeta{Hash: hash, Fields: []FieldID{sel, val}, Fire: fire},
+		outs: outs, class: class}
+	io := tailIO{sel: sel, val: val, fire: fire, src: append(append([]FieldID{}, st...), outs...), outs: outs, class: class}
+	addRandTail(rng, prog, stage, io, 2+rng.Intn(5))
+	if pipes == 2 {
+		var l2 Layout
+		io2 := tailIO{sel: l2.MustAdd("sel", 8), val: l2.MustAdd("val", 16), fire: l2.MustAdd("fire", 8)}
+		br := Bridge{From: []FieldID{sel, val, fire}, To: []FieldID{io2.sel, io2.val, io2.fire}}
+		for i, f := range io.src {
+			in := l2.MustAdd(nm("in", i), 32)
+			io2.src = append(io2.src, in)
+			br.From, br.To = append(br.From, f), append(br.To, in)
+		}
+		for i := 0; i < 4; i++ {
+			io2.outs = append(io2.outs, l2.MustAdd(nm("out", i), 32))
+		}
+		io2.src = append(io2.src, io2.outs...)
+		io2.class = l2.MustAdd("class", 8)
+		p2 := NewProgram("sliced-fuzz-pipe1", &l2, big)
+		addRandTail(rng, p2, 0, io2, 2+rng.Intn(5))
+		c.progs, c.bridges = append(c.progs, p2), []Bridge{br}
+		c.outs, c.class = io2.outs, io2.class
+	}
+	for _, p := range c.progs {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("random sliced chain invalid: %v", err)
+		}
+	}
+	return c, units
+}
+
+// firesAndState is everything a packet replay leaves behind.
+type firesAndState struct {
+	fires []PacketResult
+	rmws  uint64
+	regs  [][][]int32 // [pipe][register][cell]
+	split PlanSplit
+}
+
+// replayChain runs pkts from a clean flow table through a fresh engine
+// over the chain and collects what it fired and the state it left.
+func replayChain(c slicedChain, pkts []PacketIn, workers int, mode ExecMode) firesAndState {
+	e := NewChainEngineMode(c.progs, c.bridges, nil, c.outs, c.class, workers, mode)
+	defer e.Close()
+	e.ConfigurePackets(c.meta)
+	e.ResetState()
+	var got firesAndState
+	for _, r := range e.RunPackets(pkts) {
+		r.Outs = append([]int32(nil), r.Outs...)
+		got.fires = append(got.fires, r)
+	}
+	got.rmws, got.split = e.Stats().RegRMWs, e.PlanSplit()
+	for _, p := range c.progs {
+		got.regs = append(got.regs, snapshotRegs(p))
+	}
+	return got
+}
+
+// checkSliced replays pkts through compiled engines at 1 and 4 shards
+// and requires fires, classes, output vectors, RegRMWs and every final
+// register cell to equal a 1-shard interpreter engine's, which runs
+// every table on every packet. It returns the compiled split.
+func checkSliced(t *testing.T, tag string, c slicedChain, pkts []PacketIn) PlanSplit {
+	t.Helper()
+	want := replayChain(c, pkts, 1, ExecInterpret)
+	if want.split.PerFire != 0 || want.split.TailPipes != 0 {
+		t.Fatalf("%s: interpreter engine slices its chain: %v", tag, want.split)
+	}
+	if len(want.fires) == 0 || len(want.fires) == len(pkts) {
+		t.Fatalf("%s: %d of %d packets fired; the trace must mix both", tag, len(want.fires), len(pkts))
+	}
+	var split PlanSplit
+	for _, workers := range []int{1, 4} {
+		got := replayChain(c, pkts, workers, ExecCompiled)
+		split = got.split
+		if len(got.fires) != len(want.fires) {
+			t.Fatalf("%s [w%d]: %d fires, want %d", tag, workers, len(got.fires), len(want.fires))
+		}
+		for i, g := range got.fires {
+			w := want.fires[i]
+			if g.Pkt != w.Pkt || g.Class != w.Class {
+				t.Fatalf("%s [w%d] fire %d: (pkt %d class %d), want (pkt %d class %d)", tag, workers, i, g.Pkt, g.Class, w.Pkt, w.Class)
+			}
+			for j := range w.Outs {
+				if g.Outs[j] != w.Outs[j] {
+					t.Fatalf("%s [w%d] pkt %d out[%d]: %d, want %d", tag, workers, g.Pkt, j, g.Outs[j], w.Outs[j])
+				}
+			}
+		}
+		if got.rmws != want.rmws {
+			t.Fatalf("%s [w%d]: %d register RMWs, want %d", tag, workers, got.rmws, want.rmws)
+		}
+		for p := range want.regs {
+			for r := range want.regs[p] {
+				for cell, w := range want.regs[p][r] {
+					if g := got.regs[p][r][cell]; g != w {
+						t.Fatalf("%s [w%d]: pipe %d register %d cell %d = %d, want %d", tag, workers, p, r, cell, g, w)
+					}
+				}
+			}
+		}
+	}
+	return split
+}
+
+func randSlicedPackets(rng *rand.Rand, n int) []PacketIn {
+	pkts := make([]PacketIn, n)
+	for i := range pkts {
+		pkts[i] = PacketIn{Hash: rng.Uint32(), Fields: []int32{int32(rng.Intn(3)), int32(rng.Intn(2000) - 1000)}}
+	}
+	return pkts
+}
+
+// TestFireSlicedDifferential fuzzes the fire-sliced cut: random chains
+// of a stateful prefix and a stateless tail, where compiled engines
+// run the tail on fired packets only, must be indistinguishable from
+// the interpreter running everything — and the cut must sit exactly
+// behind the prefix's last register op, so the tail is never empty and
+// never swallows a stateful unit.
+func TestFireSlicedDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		slots := 1 << (2 + rng.Intn(3)) // 4..16
+		pipes := 1 + trial%2
+		c, prefix := randSlicedChain(t, rng, slots, pipes)
+		split := checkSliced(t, fmt.Sprintf("trial %d", trial), c, randSlicedPackets(rng, 200+rng.Intn(200)))
+		if split.PerPacket != prefix || split.PerFire == 0 || split.TailPipes != pipes-1 {
+			t.Fatalf("trial %d: split %v, want %d units per packet, a non-empty tail and %d tail pipes",
+				trial, split, prefix, pipes-1)
+		}
+	}
+}
+
+// TestFireSlicedEmptyTail pins the three shapes that leave nothing to
+// skip: a register op in the last table, a late table writing the fire
+// field, and a chain whose second pipe owns a register — which must
+// still see every packet.
+func TestFireSlicedEmptyTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pkts := randSlicedPackets(rng, 300)
+	last := func(c slicedChain) (*Program, int) {
+		p := c.progs[len(c.progs)-1]
+		return p, len(p.Stages)
+	}
+	wantEmpty := func(tag string, c slicedChain) {
+		t.Helper()
+		if split := checkSliced(t, tag, c, pkts); split.PerFire != 0 || split.TailPipes != 0 {
+			t.Fatalf("%s: split %v, want an empty tail", tag, split)
+		}
+	}
+
+	// A register op behind the whole tail (say, banking the verdict).
+	c, _ := randSlicedChain(t, rng, 8, 1)
+	p, stage := last(c)
+	verdict, err := NewRegister("verdict", 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot, _ := p.Layout.Lookup("slot")
+	p.Place(stage, &Table{Name: "bank", Kind: MatchNone, DefaultData: []int32{},
+		Action: []Op{{Kind: OpRegStore, Reg: p.AddRegister(verdict), A: slot, B: c.class}}})
+	wantEmpty("register op in the last table", c)
+
+	// A late table that can lower the fire flag.
+	c, _ = randSlicedChain(t, rng, 8, 1)
+	p, stage = last(c)
+	p.Place(stage, &Table{Name: "veto", Kind: MatchNone, DefaultData: []int32{},
+		Action: []Op{{Kind: OpSelEQI, Dst: c.meta.Fire, A: c.class, B: c.class, Imm: 0}}})
+	wantEmpty("late fire write", c)
+
+	// A second pipe that counts packets per slot in its own register.
+	c, _ = randSlicedChain(t, rng, 8, 2)
+	p, stage = last(c)
+	seen, err := NewRegister("seen", 32, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot2 := p.Layout.MustAdd("slot", 32)
+	zero := p.Layout.MustAdd("zero", 8) // never written: the counter never restarts
+	cnt := p.Layout.MustAdd("cnt", 32)
+	slot, _ = c.progs[0].Layout.Lookup("slot")
+	c.bridges[0].From = append(c.bridges[0].From, slot)
+	c.bridges[0].To = append(c.bridges[0].To, slot2)
+	p.Place(stage, &Table{Name: "seen", Kind: MatchNone, DefaultData: []int32{},
+		Action: []Op{{Kind: OpRegCntRestart, Reg: p.AddRegister(seen), Dst: cnt, A: slot2, B: zero}}})
+	wantEmpty("stateful second pipe", c)
+	total := 0
+	for cell := 0; cell < seen.Size; cell++ {
+		total += int(seen.Get(cell))
+	}
+	if total != len(pkts) {
+		t.Fatalf("second-pipe register counted %d packets, want %d", total, len(pkts))
 	}
 }
 

@@ -568,6 +568,14 @@ func (m *Model) SetWeight(w int) {
 	m.cur.eng.SetWeight(w)
 }
 
+// PlanSplit returns the live engine's per-packet / per-fire division
+// of its program chain (see pisa.PlanSplit).
+func (m *Model) PlanSplit() pisa.PlanSplit {
+	m.stateMu.RLock()
+	defer m.stateMu.RUnlock()
+	return m.cur.eng.PlanSplit()
+}
+
 // Stats returns the model's cumulative serving counters across every
 // version it has run (retired generations included).
 func (m *Model) Stats() pisa.EngineStats {
