@@ -197,6 +197,7 @@ func main() {
 	fmt.Printf("switch replay:    %d/%d correct (%.4f) over %d packets in %s (%.3g pkt/s, %d workers, %s, %s)\n",
 		hit, len(res), float64(hit)/float64(len(res)), len(res), elapsed.Round(time.Microsecond),
 		float64(len(res))/elapsed.Seconds(), eng.Workers(), execMode, how)
+	fmt.Printf("                  plan shape: %v\n", eng.PlanShape())
 
 	fmt.Println()
 	fmt.Print(m.Pipeline().DiagString())
@@ -306,6 +307,7 @@ func runPackets(m *models.Feedforward, test []netsim.Flow, workers int, execMode
 	fmt.Printf("                  %d windows fired, %d/%d correct (%.4f) — per-packet register extraction on-switch\n",
 		fires, hit, fires, acc)
 	fmt.Printf("                  plan split: %v\n", eng.PlanSplit())
+	fmt.Printf("                  plan shape: %v\n", eng.PlanShape())
 	fmt.Println()
 	fmt.Print(emp.Summary())
 }
@@ -622,6 +624,9 @@ func runMultiModels(names []string, k int, train, test []netsim.Flow, epochs int
 		fmt.Printf("%-8s %4d %6d %14.3g %10.4f %7.1f%% %10d %8d %-18s %d/%d/%d\n",
 			m.Name(), m.Version(), m.Weight(), float64(st.Packets)/wall.Seconds(), acc,
 			100*occ, st.Tasks, st.Shed, sharing, split.PerPacket, split.PerFire, split.TailPipes)
+	}
+	for _, m := range ms {
+		fmt.Printf("plan shape %-8s %v\n", m.Name(), m.PlanShape())
 	}
 
 	// Measured per-packet RMW saving: replay the merged raw test trace

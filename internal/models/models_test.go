@@ -1,6 +1,9 @@
 package models
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -15,6 +18,30 @@ func smallDataset(t *testing.T) (train, test []netsim.Flow, classes int) {
 	ds := datasets.PeerRush(datasets.Config{FlowsPerClass: 60, PacketsPerFlow: 24, Seed: 77})
 	tr, _, te := ds.Split(7)
 	return tr, te, ds.NumClasses()
+}
+
+// TestCNNMTrainedWeightsPinned trains CNN-M exactly as the benchmark's
+// set-up does (bench/workloads.go: modelSeed 1, full scale) and pins a
+// checksum of every trained weight. The value was computed before
+// MatMulT was register-blocked and ReLU got direct loops: set-up
+// optimisations must not move a single bit, or macro_f1 moves with them.
+func TestCNNMTrainedWeightsPinned(t *testing.T) {
+	const modelSeed = 1
+	ds := datasets.PeerRush(datasets.Config{FlowsPerClass: 120, PacketsPerFlow: 28, Seed: modelSeed + 101})
+	train, _, _ := ds.Split(modelSeed + 7)
+	m := NewCNNM(ds.NumClasses(), rand.New(rand.NewSource(modelSeed+13)))
+	m.Train(train, TrainOpts{Epochs: 60, Seed: modelSeed})
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, p := range m.Net.Params() {
+		for _, v := range p.W.D {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xb225a826f00bf8e9); got != want {
+		t.Fatalf("trained CNN-M weights hash %#x, want %#x", got, want)
+	}
 }
 
 func TestExtractors(t *testing.T) {

@@ -400,6 +400,40 @@ func TestPacketPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCNNMPlanShapeAndZeroAllocs compiles a real CNN-M window emission:
+// its sixteen per-field range tables must run as one load run, its four
+// combo tables as bitmap units, and Process must not allocate.
+func TestCNNMPlanShapeAndZeroAllocs(t *testing.T) {
+	train, test, k := smallDataset(t)
+	m := NewCNNM(k, rand.New(rand.NewSource(67)))
+	m.Train(train, TrainOpts{Epochs: 1, Seed: 67})
+	if err := m.Compile(train); err != nil {
+		t.Fatal(err)
+	}
+	em, err := m.Emit(1 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := pisa.CompileProgram(em.Prog)
+	if sh := plan.Shape(); len(sh.LoadRuns) != 1 || sh.LoadRuns[0] != 16 || len(sh.Bitmaps) != 4 || sh.Units != 10 {
+		t.Fatalf("CNN-M plan shape: %v, want one 16-load run and four bitmap units in 10 units", sh)
+	}
+	xs, _ := ExtractSeq(test)
+	jobs := core.BatchJobsFromFloats(xs)
+	phv := em.Prog.Layout.NewPHV()
+	n := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		phv.Reset()
+		for i, f := range em.InFields {
+			phv.Set(f, jobs[n%len(jobs)].In[i])
+		}
+		n++
+		plan.Process(phv)
+	}); allocs != 0 {
+		t.Fatalf("CompiledProgram.Process allocates %.1f heap objects per packet", allocs)
+	}
+}
+
 // TestPacketStreamMatchesBatch drives the same trace through
 // RunPacketStream and requires the fired results to match RunPackets.
 func TestPacketStreamMatchesBatch(t *testing.T) {

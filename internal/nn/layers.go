@@ -222,19 +222,41 @@ func (a *Activation) OutDim(in int) int { return in }
 func (a *Activation) Params() []*Param  { return nil }
 
 func (a *Activation) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	out := x.Clone().Apply(a.Kind.Eval)
 	if train {
 		a.lastX = x
+	}
+	out := x.Clone()
+	if a.Kind != ReLU {
+		return out.Apply(a.Kind.Eval)
+	}
+	// ReLU is most of the zoo's activations: math.Max(0, x) inline.
+	for i, v := range out.D {
+		if v != v {
+			out.D[i] = math.NaN()
+		} else if !(v > 0) {
+			out.D[i] = 0
+		}
 	}
 	return out
 }
 
 func (a *Activation) Backward(grad *tensor.Mat) *tensor.Mat {
 	out := tensor.New(grad.R, grad.C)
+	if a.Kind == ReLU {
+		// Deriv is 1 or 0 and does not need the activation; the product
+		// is kept so the gradient's sign and NaNs propagate unchanged.
+		for i, g := range grad.D {
+			d := 0.0
+			if a.lastX.D[i] > 0 {
+				d = 1
+			}
+			out.D[i] = g * d
+		}
+		return out
+	}
 	for i := range grad.D {
 		x := a.lastX.D[i]
-		y := a.Kind.Eval(x)
-		out.D[i] = grad.D[i] * a.Kind.Deriv(x, y)
+		out.D[i] = grad.D[i] * a.Kind.Deriv(x, a.Kind.Eval(x))
 	}
 	return out
 }

@@ -69,6 +69,30 @@ func TestActivationGradients(t *testing.T) {
 	}
 }
 
+// TestReLUMatchesEval pins the ReLU fast paths to ActKind.Eval/Deriv on
+// the values where a shortcut would show: signed zeros, infinities and
+// NaNs, in the input and in the incoming gradient.
+func TestReLUMatchesEval(t *testing.T) {
+	vals := []float64{-2, math.Copysign(0, -1), 0, 3, math.Inf(1), math.Inf(-1), math.NaN()}
+	x := tensor.New(len(vals), len(vals))
+	grad := tensor.New(len(vals), len(vals))
+	for i, v := range vals {
+		for j, g := range vals {
+			x.Set(i, j, v)
+			grad.Set(i, j, g)
+		}
+	}
+	a := NewActivation(ReLU)
+	y, dx := a.Forward(x, true), a.Backward(grad)
+	for i := range x.D {
+		wantY := ReLU.Eval(x.D[i])
+		wantDx := grad.D[i] * ReLU.Deriv(x.D[i], wantY)
+		if math.Float64bits(y.D[i]) != math.Float64bits(wantY) || math.Float64bits(dx.D[i]) != math.Float64bits(wantDx) {
+			t.Fatalf("x=%v g=%v: forward %v backward %v, want %v and %v", x.D[i], grad.D[i], y.D[i], dx.D[i], wantY, wantDx)
+		}
+	}
+}
+
 func TestBatchNormGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := NewSequential(NewBatchNorm(3), NewLinear(3, 2, rng))

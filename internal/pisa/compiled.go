@@ -16,45 +16,70 @@ import (
 //     ungated always-tables merge into a single unit.
 //   - Single-field exact tables over a narrow key become a dense
 //     direct-index array over the masked key domain (O(1), no probe).
+//     When the action only loads action data (all OpSetData) and every
+//     key value resolves — a hit, or a miss with DefaultData — the slot
+//     indirection goes too: the unit is a value table, tab[key*n+j]
+//     being destination j's value, one load per destination. Adjacent
+//     ungated single-destination value tables merge into one unit, a
+//     load run, executed in table order (a load keyed on its
+//     predecessor's destination still sees it).
 //   - Multi-field exact tables whose key packs into 64 bits become an
 //     open-addressed hash table on the packed key.
 //   - Single-field ternary tables whose masks are all prefix masks —
 //     what consecutive range coding produces — become interval lookups
-//     with first-match priority folded into the intervals: a dense
-//     O(1) array over narrow key domains, a sorted-interval binary
+//     with first-match priority folded into the intervals: a direct
+//     unit as above over narrow key domains, a sorted-interval binary
 //     search over wide ones.
 //   - Multi-field ternary tables with per-field prefix masks (the
 //     two-level combo tables) become per-dimension rule bitsets: each
-//     dimension resolves its key to a bitset of the rules it satisfies
-//     and the intersection's lowest set bit is the first matching rule
-//     — O(dims · rules/64) instead of O(dims · rules).
+//     dimension resolves its key to the row of rules it satisfies and
+//     the intersection's lowest set bit is the first matching rule.
+//     Every row leads with summary words — bit w set iff row word w is
+//     non-zero — so the lookup intersects the summaries and probes only
+//     the candidate words, in ascending order, instead of every word
+//     up to the hit. First-match priority survives: a word absent from
+//     the summaries' intersection is zero in some dimension and cannot
+//     hold a match, so the first non-zero probed word is the first
+//     non-zero word of the full intersection; a candidate whose words
+//     share no rule (a false candidate) just falls through to the next.
 //   - Everything else falls back to a generic scan with precomputed
 //     width masks.
 //
+// Every lookup resolves to a slot of the unit's action-data slab: one
+// []int32 of fixed stride (the action's data arity, which addTable
+// checks every entry against), hit slots first and the default data
+// last, so a hit is flat[s*stride:(s+1)*stride] — no per-entry slice
+// header, no per-entry heap cell — and a miss with a default is just
+// another slot.
+//
 // After specialisation, each unit is sealed into a straight-line
 // closure (the executor-plan idiom): the gate comparison, the lookup
-// and the action applier are bound into one func with every loop
-// constant (key field, mask, slot arrays) captured — Process is then
-// just a walk over the closure list, with no per-packet kind dispatch.
-// Always-run units additionally constant-fold their action data:
-// OpSetData becomes an immediate OpSet and OpAddData a saturating
-// add-immediate, so the merged op stream carries no data bus at all.
+// and the action are bound into one func with every loop constant (key
+// field, mask, slot arrays) captured — Process is then just a walk
+// over the closure list, with no per-packet kind dispatch. Always-run
+// units additionally constant-fold their action data: OpSetData
+// becomes an immediate OpSet and OpAddData a saturating add-immediate,
+// so the merged op stream carries no data bus at all.
 //
-// The plan references the source program's entries, action programs and
-// registers; it adds no mutable state of its own, so one plan may be
-// shared by any number of goroutines as long as each supplies its own
-// PHV. Process performs zero heap allocations.
+// The plan references the source program's action programs and
+// registers and owns its lookup arrays; it adds no mutable state of its
+// own, so one plan may be shared by any number of goroutines as long as
+// each supplies its own PHV. Process performs zero heap allocations.
 //
 // A plan also knows where its stateless tail begins (statelessFrom):
 // the trailing units that touch no register and do not write a given
 // fire field are pure functions of the PHV, which is what lets the
 // packet engine run them only on the packets that fire a window (see
 // Engine.ConfigurePackets for the rule and its soundness argument).
+// The cut indexes units, and a merged unit is stateful as a whole if
+// any op of it is, so it can never fall inside a load run (whose loads
+// access no register to begin with).
 type CompiledProgram struct {
-	name  string
-	units []execUnit
-	regs  []*Register
-	procs []func(*PHV)
+	name   string
+	tables int // source tables lowered, dead ones included
+	units  []execUnit
+	regs   []*Register
+	procs  []func(*PHV)
 }
 
 type execKind uint8
@@ -69,7 +94,8 @@ const (
 	execScanTernary                 // generic ternary linear scan
 )
 
-// execUnit is one specialised table (or merged run of always-tables).
+// execUnit is one specialised table, merged run of always-tables or
+// load run.
 type execUnit struct {
 	kind execKind
 
@@ -82,36 +108,63 @@ type execUnit struct {
 	keyMasks  []uint32
 
 	action  []Op
-	defData []int32
-	hasDef  bool
+	defData []int32 // execAlways: the (merged) data vector, folded by seal
 
-	// data holds the hit action-data slices; direct/hash/interval units
-	// store slot indices into it.
-	data [][]int32
+	// flat is the action-data slab: stride values per slot, hit slots in
+	// the order the lowering numbered them, then the default data. miss
+	// is the slot a failed lookup resolves to, -1 when a miss leaves the
+	// PHV untouched.
+	flat   []int32
+	stride int
+	slots  int32
+	miss   int32
 
-	dense []int32 // execDirect: masked key -> slot+1 (0 = miss)
+	dense []int32 // execDirect: masked key -> slot, miss folded in
+	tab   []int32 // execDirect value table: tab[key*len(action)+j]
+	loads []load  // execDirect load run
 
 	hkeys  []uint64 // execHash: packed keys, parallel to hslot
 	hslot  []int32  // execHash: slot, -1 = empty
 	shifts []uint   // execHash: per-field pack shift
 
 	lows  []uint32 // execInterval: ascending interval starts, lows[0]=0
-	islot []int32  // execInterval: slot per interval, -1 = miss
+	islot []int32  // execInterval: slot per interval, miss folded in
 
-	dims    []bitmapDim // execBitmap: per-key-field rule bitsets
-	bsWords int         // execBitmap: bitset words per row
+	dims     []bitmapDim // execBitmap: per-key-field row index
+	rows     []uint64    // execBitmap: every dimension's rows
+	bsWords  int         // execBitmap: rule-bitset words per row
+	sumWords int         // execBitmap: summary words leading each row
 
-	entries []Entry // scan fallbacks
+	entries []Entry // scan fallbacks: keys and masks; slot = entry index
+}
+
+// load is one step of a load run: dst = tab[phv[key] & mask].
+type load struct {
+	key  FieldID
+	mask uint32
+	dst  FieldID
+	tab  []int32
 }
 
 // bitmapDim is one key field of an execBitmap unit: the mapping from a
-// masked key value to the bitset row of rules that dimension satisfies.
-// Narrow dimensions index rows by key value directly (lows nil); wide
+// masked key value to that dimension's row of the unit's rows array,
+// which holds a bit for every rule the dimension satisfies. Narrow
+// dimensions index rows by key value directly (lows nil); wide
 // dimensions binary-search lows for the elementary interval, whose
-// index is the row.
+// index is the row. Row r starts at base + r*(sumWords+bsWords).
 type bitmapDim struct {
-	rows []uint64 // rule bitsets, bsWords words per row
+	base int
 	lows []uint32 // ascending interval starts; nil for dense dimensions
+}
+
+// off returns where the row of masked key k starts in the rows array,
+// rw being the words per row.
+func (dim *bitmapDim) off(k uint32, rw int) int {
+	row := int(k)
+	if dim.lows != nil {
+		row = intervalRow(dim.lows, k)
+	}
+	return dim.base + row*rw
 }
 
 // directMaxBits bounds the key width direct-indexed exact tables
@@ -124,8 +177,12 @@ const directMaxBits = 16
 // back to interval binary search.
 const denseRangeBits = 12
 
+// valueTableCells bounds keys × destinations of a value table: the same
+// 256 KiB a direct unit's slot array may take.
+const valueTableCells = 1 << directMaxBits
+
 // maxBitmapDims bounds the key fields of a bitmap unit: the lookup
-// keeps one row slice per dimension on the stack.
+// keeps one row offset per dimension on the stack.
 const maxBitmapDims = 8
 
 // CompileProgram lowers p into its execution plan. The plan aliases
@@ -163,7 +220,7 @@ const noField FieldID = -1
 // statelessFrom returns the index of the first unit of the plan's
 // longest stateless suffix: the trailing units none of whose ops
 // accesses a register (Op.regAccess() >= 0) or writes fire. A merged
-// always-unit is stateful if any of its ops is. len(units) means the
+// unit is stateful if any of its ops is. len(units) means the
 // last unit is stateful (empty suffix), 0 that the whole plan is
 // stateless.
 func (cp *CompiledProgram) statelessFrom(fire FieldID) int {
@@ -180,19 +237,24 @@ func (cp *CompiledProgram) statelessFrom(fire FieldID) int {
 
 func (cp *CompiledProgram) addTable(t *Table) {
 	t.prepare()
+	// The interpreter panics on the first packet that trips either of
+	// these; fail at plan construction instead. The arity check is also
+	// what lets every slot of the unit's slab share one stride.
+	if err := t.checkData(); err != nil {
+		panic("pisa: " + err.Error())
+	}
+	cp.tables++
 	u := execUnit{
 		keyFields: t.KeyFields,
 		keyMasks:  t.masks,
 		action:    t.Action,
-		defData:   t.DefaultData,
-		hasDef:    t.DefaultData != nil,
+		stride:    t.dataArity(),
+		miss:      -1,
 	}
 	if t.Gate != nil {
 		switch t.Gate.Op {
 		case GateEQ, GateNE, GateGE, GateLE:
 		default:
-			// The interpreter panics on the first gated packet; fail at
-			// plan construction instead of silently never gating.
 			panic(fmt.Sprintf("pisa: table %q gate has invalid op %d", t.Name, t.Gate.Op))
 		}
 		u.hasGate = true
@@ -200,40 +262,95 @@ func (cp *CompiledProgram) addTable(t *Table) {
 		u.gateField = t.Gate.Field
 		u.gateVal = t.Gate.Value
 	}
+	var prev *execUnit
+	if n := len(cp.units); n > 0 && !u.hasGate && !cp.units[n-1].hasGate {
+		prev = &cp.units[n-1] // merge candidate: both ungated
+	}
 	switch t.Kind {
 	case MatchNone:
-		if !u.hasDef {
+		if t.DefaultData == nil {
 			return // never fires: dead table
 		}
-		u.kind = execAlways
+		u.kind, u.defData = execAlways, t.DefaultData
 		// Merge into the previous unit when both are ungated always
 		// runs: one op stream, action-data indices rebased onto the
 		// concatenated data vector.
-		if !u.hasGate && len(cp.units) > 0 {
-			prev := &cp.units[len(cp.units)-1]
-			if prev.kind == execAlways && !prev.hasGate {
-				base := len(prev.defData)
-				if base > 0 || len(u.defData) > 0 {
-					merged := append(append([]int32{}, prev.defData...), u.defData...)
-					ops := append(append([]Op{}, prev.action...), u.action...)
-					for i := len(prev.action); i < len(ops); i++ {
-						if k := ops[i].Kind; k == OpSetData || k == OpAddData {
-							ops[i].DataIdx += base
-						}
-					}
-					prev.action, prev.defData = ops, merged
-				} else {
-					prev.action = append(append([]Op{}, prev.action...), u.action...)
+		if prev != nil && prev.kind == execAlways {
+			base := len(prev.defData)
+			ops := append(append([]Op{}, prev.action...), u.action...)
+			for i := len(prev.action); i < len(ops); i++ {
+				if k := ops[i].Kind; k == OpSetData || k == OpAddData {
+					ops[i].DataIdx += base
 				}
-				return
 			}
+			prev.action, prev.defData = ops, append(append([]int32{}, prev.defData...), u.defData...)
+			return
 		}
 	case MatchExact:
 		cp.specializeExact(t, &u)
 	case MatchTernary:
 		cp.specializeTernary(t, &u)
 	}
+	if t.Kind != MatchNone && t.DefaultData != nil {
+		u.miss = u.slot(t.DefaultData)
+		for _, tbl := range [][]int32{u.dense, u.islot} {
+			for i, s := range tbl {
+				if s < 0 {
+					tbl[i] = u.miss
+				}
+			}
+		}
+	}
+	if u.valueTable() && !u.hasGate && len(u.action) == 1 {
+		// An ungated single-destination value table is a load; adjacent
+		// ones run as one unit, in table order.
+		ld := load{key: u.keyFields[0], mask: u.keyMasks[0], dst: u.action[0].Dst, tab: u.tab}
+		if prev != nil && prev.loads != nil {
+			prev.loads = append(prev.loads, ld)
+			prev.action = append(prev.action[:len(prev.action):len(prev.action)], u.action...)
+			return
+		}
+		u.loads, u.tab = []load{ld}, nil
+	}
 	cp.units = append(cp.units, u)
+}
+
+// slot appends one slot of action data to the unit's slab and returns
+// its index. Values past the action's arity are never read and dropped.
+func (u *execUnit) slot(data []int32) int32 {
+	u.flat = append(u.flat, data[:u.stride]...)
+	u.slots++
+	return u.slots - 1
+}
+
+// valueTable converts a direct unit whose action only loads action data
+// and whose every key value resolves to a slot into a value table: the
+// slot indirection is resolved at compile time, tab[key*n+j] being the
+// value of the action's jth destination. A key that misses without a
+// default must leave the PHV untouched, so such a table stays on slots.
+func (u *execUnit) valueTable() bool {
+	n := len(u.action)
+	if u.kind != execDirect || n == 0 || len(u.dense)*n > valueTableCells {
+		return false
+	}
+	for i := range u.action {
+		if u.action[i].Kind != OpSetData {
+			return false
+		}
+	}
+	for _, s := range u.dense {
+		if s < 0 {
+			return false
+		}
+	}
+	u.tab = make([]int32, len(u.dense)*n)
+	for k, s := range u.dense {
+		for j := range u.action {
+			u.tab[k*n+j] = u.flat[int(s)*u.stride+u.action[j].DataIdx]
+		}
+	}
+	u.dense, u.flat = nil, nil
+	return true
 }
 
 // specializeExact picks direct indexing, hashing or a scan for an exact
@@ -249,14 +366,14 @@ func (cp *CompiledProgram) specializeExact(t *Table, u *execUnit) {
 		u.kind = execDirect
 		wm := u.keyMasks[0]
 		u.dense = make([]int32, int(wm)+1)
+		for k := range u.dense {
+			u.dense[k] = -1
+		}
 		for ei := range t.Entries {
 			e := &t.Entries[ei]
-			k := e.Key[0]
-			if k > wm || u.dense[k] != 0 {
-				continue
+			if k := e.Key[0]; k <= wm && u.dense[k] < 0 {
+				u.dense[k] = u.slot(e.Data)
 			}
-			u.data = append(u.data, e.Data)
-			u.dense[k] = int32(len(u.data))
 		}
 		return
 	}
@@ -265,8 +382,7 @@ func (cp *CompiledProgram) specializeExact(t *Table, u *execUnit) {
 		totalBits += w
 	}
 	if totalBits > 64 {
-		u.kind = execScanExact
-		u.entries = t.Entries
+		u.scan(execScanExact, t.Entries)
 		return
 	}
 	u.kind = execHash
@@ -298,15 +414,22 @@ insert:
 		}
 		for h := mix64(pk) & mask; ; h = (h + 1) & mask {
 			if u.hslot[h] < 0 {
-				u.data = append(u.data, e.Data)
 				u.hkeys[h] = pk
-				u.hslot[h] = int32(len(u.data) - 1)
+				u.hslot[h] = u.slot(e.Data)
 				break
 			}
 			if u.hkeys[h] == pk {
 				continue insert // duplicate key: first entry wins
 			}
 		}
+	}
+}
+
+// scan makes u a generic scan over entries, slot = entry index.
+func (u *execUnit) scan(kind execKind, entries []Entry) {
+	u.kind, u.entries = kind, entries
+	for ei := range entries {
+		u.slot(entries[ei].Data)
 	}
 }
 
@@ -324,13 +447,12 @@ type span struct {
 // the winning rule. Anything else keeps the generic masked scan.
 func (cp *CompiledProgram) specializeTernary(t *Table, u *execUnit) {
 	if len(t.KeyFields) > maxBitmapDims || !prefixEntries(t.Entries, u.keyMasks) {
-		u.kind = execScanTernary
-		u.entries = t.Entries
+		u.scan(execScanTernary, t.Entries)
 		return
 	}
-	// Reachable rules, in priority order, with their per-dimension
-	// intervals. A rule whose value has bits outside its (width-
-	// clipped) mask can never hit, because lookup keys are width-masked.
+	// Reachable rules, in priority order (rule index = slot), with their
+	// per-dimension intervals. A rule whose value has bits outside its
+	// (width-clipped) mask can never hit: lookup keys are width-masked.
 	nd := len(t.KeyFields)
 	var rules [][]span
 	for ei := range t.Entries {
@@ -349,7 +471,7 @@ func (cp *CompiledProgram) specializeTernary(t *Table, u *execUnit) {
 		if !ok {
 			continue
 		}
-		u.data = append(u.data, e.Data)
+		u.slot(e.Data)
 		rules = append(rules, rule)
 	}
 	if nd == 1 {
@@ -434,49 +556,57 @@ func (cp *CompiledProgram) buildInterval(t *Table, u *execUnit, rules [][]span) 
 			hi = uint64(u.lows[i+1]) - 1
 		}
 		for v := uint64(lo); v <= hi; v++ {
-			u.dense[v] = u.islot[i] + 1 // slot+1; 0 stays "miss"
+			u.dense[v] = u.islot[i]
 		}
 	}
 	u.lows, u.islot = nil, nil
 }
 
-// buildBitmap lowers a multi-field rule set into one bitset-indexed
-// structure per dimension: row r of dimension d holds a bit for every
-// rule whose dth interval contains the keys mapping to that row. The
-// lookup intersects one row per dimension; the lowest set bit of the
-// intersection is the first (highest-priority) matching rule.
+// buildBitmap lowers a multi-field rule set into one row-indexed rule
+// bitset per dimension: row r of dimension d holds a bit for every
+// rule whose dth interval contains the keys mapping to that row, behind
+// sumWords summary words whose bit w is set iff the row's word w is
+// non-zero. The lookup intersects one row per dimension; the lowest set
+// bit of the intersection is the first (highest-priority) matching rule.
 func (cp *CompiledProgram) buildBitmap(t *Table, u *execUnit, rules [][]span) {
 	if len(rules) == 0 {
 		u.kind = execScanTernary // always a miss; scan of zero entries
-		u.data = nil
 		return
 	}
 	u.kind = execBitmap
 	u.bsWords = (len(rules) + 63) / 64
+	u.sumWords = (u.bsWords + 63) / 64
+	rw := u.sumWords + u.bsWords
 	u.dims = make([]bitmapDim, len(t.KeyFields))
 	for d := range u.dims {
 		dim := &u.dims[d]
+		dim.base = len(u.rows)
 		wm := uint64(u.keyMasks[d])
-		if t.KeyWidths[d] <= denseRangeBits {
-			// One row per key value.
-			dim.rows = make([]uint64, (int(wm)+1)*u.bsWords)
-			for ri, r := range rules {
-				word, bit := ri/64, uint(ri%64)
-				for v := r[d].lo; v <= r[d].hi; v++ {
-					dim.rows[int(v)*u.bsWords+word] |= 1 << bit
-				}
-			}
-			continue
+		nrows := int(wm) + 1 // narrow dimension: one row per key value
+		if t.KeyWidths[d] > denseRangeBits {
+			// Wide dimension: one row per elementary interval, resolved
+			// by binary search at lookup time.
+			dim.lows = elementaryLows(rules, d, wm)
+			nrows = len(dim.lows)
 		}
-		// Wide dimension: one row per elementary interval, resolved by
-		// binary search at lookup time.
-		dim.lows = elementaryLows(rules, d, wm)
-		dim.rows = make([]uint64, len(dim.lows)*u.bsWords)
-		for ri, r := range rules {
-			word, bit := ri/64, uint(ri%64)
-			for row, lo := range dim.lows {
-				if r[d].lo <= uint64(lo) && uint64(lo) <= r[d].hi {
-					dim.rows[row*u.bsWords+word] |= 1 << bit
+		u.rows = append(u.rows, make([]uint64, nrows*rw)...)
+		for ri, rule := range rules {
+			// No rule boundary falls inside a row, so the rule covers
+			// exactly the rows from its interval's first key to its last.
+			lo, hi := int(rule[d].lo), int(rule[d].hi)
+			if dim.lows != nil {
+				lo, hi = intervalRow(dim.lows, uint32(lo)), intervalRow(dim.lows, uint32(hi))
+			}
+			word, bit := dim.base+u.sumWords+ri/64, uint64(1)<<uint(ri%64)
+			for row := lo; row <= hi; row++ {
+				u.rows[word+row*rw] |= bit
+			}
+		}
+		for row := 0; row < nrows; row++ {
+			r := u.rows[dim.base+row*rw:][:rw]
+			for w, x := range r[u.sumWords:] {
+				if x != 0 {
+					r[w/64] |= 1 << uint(w%64)
 				}
 			}
 		}
@@ -595,33 +725,44 @@ type setPair struct {
 	idx int
 }
 
-// dataApplier returns the closure applying ops with hit-dependent
-// action data. The ubiquitous all-OpSetData shape (feature loads,
-// class/output writebacks) specialises into a bare copy loop.
-func dataApplier(ops []Op, regs []*Register) func(*PHV, []int32) {
-	allSet := len(ops) > 0
-	for i := range ops {
-		if ops[i].Kind != OpSetData {
-			allSet = false
-			break
+// hit applies a unit's action with the action data of one slab slot.
+// The ubiquitous all-OpSetData shape (feature loads, class/output
+// writebacks) specialises into a bare copy loop (sets non-nil).
+type hit struct {
+	sets   []setPair
+	ops    []Op
+	regs   []*Register
+	flat   []int32
+	stride int
+}
+
+func (cp *CompiledProgram) hitOf(u *execUnit) *hit {
+	h := &hit{ops: u.action, regs: cp.regs, flat: u.flat, stride: u.stride}
+	for i := range u.action {
+		if u.action[i].Kind != OpSetData {
+			return h
 		}
 	}
-	if allSet {
-		pairs := make([]setPair, len(ops))
-		for i, op := range ops {
-			pairs[i] = setPair{op.Dst, op.DataIdx}
-		}
-		if len(pairs) == 1 {
-			p0 := pairs[0]
-			return func(phv *PHV, data []int32) { phv.Vals[p0.dst] = data[p0.idx] }
-		}
-		return func(phv *PHV, data []int32) {
-			for _, pr := range pairs {
-				phv.Vals[pr.dst] = data[pr.idx]
-			}
-		}
+	for _, op := range u.action {
+		h.sets = append(h.sets, setPair{op.Dst, op.DataIdx})
 	}
-	return func(phv *PHV, data []int32) { runOps(ops, phv, data, regs) }
+	return h
+}
+
+// apply runs the action on slot s; a negative slot is a miss without
+// default data and leaves the PHV untouched.
+func (h *hit) apply(p *PHV, s int) {
+	if s < 0 {
+		return
+	}
+	row := h.flat[s*h.stride : (s+1)*h.stride]
+	if h.sets == nil {
+		runOps(h.ops, p, row, h.regs)
+		return
+	}
+	for _, pr := range h.sets {
+		p.Vals[pr.dst] = row[pr.idx]
+	}
 }
 
 // alwaysApplier returns the closure for a (folded) always-run op
@@ -670,136 +811,123 @@ func alwaysApplier(ops []Op, regs []*Register) func(*PHV) {
 // value, so the hot path reads no execUnit fields and performs no kind
 // dispatch.
 func (cp *CompiledProgram) lowerUnit(u *execUnit) func(*PHV) {
-	switch u.kind {
-	case execAlways:
+	if u.kind == execAlways {
 		return alwaysApplier(u.action, cp.regs)
+	}
+	h, miss := cp.hitOf(u), int(u.miss)
+	kfs, kms := u.keyFields, u.keyMasks
+	switch u.kind {
 	case execDirect:
-		apply := dataApplier(u.action, cp.regs)
-		miss := missApplier(u, apply)
-		kf, km := u.keyFields[0], u.keyMasks[0]
-		dense, dat := u.dense, u.data
-		return func(p *PHV) {
-			if s := dense[uint32(p.Vals[kf])&km]; s != 0 {
-				apply(p, dat[s-1])
-			} else {
-				miss(p)
+		if loads := u.loads; loads != nil {
+			return func(p *PHV) {
+				v := p.Vals
+				for i := range loads {
+					l := &loads[i]
+					v[l.dst] = l.tab[uint32(v[l.key])&l.mask]
+				}
 			}
 		}
+		kf, km := kfs[0], kms[0]
+		if tab, sets := u.tab, h.sets; tab != nil {
+			return func(p *PHV) {
+				base := int(uint32(p.Vals[kf])&km) * len(sets)
+				for j, pr := range sets {
+					p.Vals[pr.dst] = tab[base+j]
+				}
+			}
+		}
+		dense := u.dense
+		return func(p *PHV) { h.apply(p, int(dense[uint32(p.Vals[kf])&km])) }
 	case execHash:
-		apply := dataApplier(u.action, cp.regs)
-		miss := missApplier(u, apply)
-		kfs, kms, shifts := u.keyFields, u.keyMasks, u.shifts
-		hkeys, hslot, dat := u.hkeys, u.hslot, u.data
+		shifts, hkeys, hslot := u.shifts, u.hkeys, u.hslot
 		mask := uint64(len(hkeys) - 1)
 		return func(p *PHV) {
 			var pk uint64
 			for i, f := range kfs {
 				pk |= uint64(uint32(p.Vals[f])&kms[i]) << shifts[i]
 			}
-			for h := mix64(pk) & mask; hslot[h] >= 0; h = (h + 1) & mask {
-				if hkeys[h] == pk {
-					apply(p, dat[hslot[h]])
-					return
+			s := miss
+			for i := mix64(pk) & mask; hslot[i] >= 0; i = (i + 1) & mask {
+				if hkeys[i] == pk {
+					s = int(hslot[i])
+					break
 				}
 			}
-			miss(p)
+			h.apply(p, s)
 		}
 	case execInterval:
-		apply := dataApplier(u.action, cp.regs)
-		miss := missApplier(u, apply)
-		kf, km := u.keyFields[0], u.keyMasks[0]
-		lows, islot, dat := u.lows, u.islot, u.data
-		return func(p *PHV) {
-			if s := islot[intervalRow(lows, uint32(p.Vals[kf])&km)]; s >= 0 {
-				apply(p, dat[s])
-			} else {
-				miss(p)
-			}
-		}
+		kf, km, lows, islot := kfs[0], kms[0], u.lows, u.islot
+		return func(p *PHV) { h.apply(p, int(islot[intervalRow(lows, uint32(p.Vals[kf])&km)])) }
 	case execBitmap:
-		apply := dataApplier(u.action, cp.regs)
-		miss := missApplier(u, apply)
-		kfs, kms := u.keyFields, u.keyMasks
-		dims, bsWords, dat := u.dims, u.bsWords, u.data
-		return func(p *PHV) {
-			var rows [maxBitmapDims][]uint64
-			nd := len(dims)
-			for d := 0; d < nd; d++ {
-				dim := &dims[d]
-				k := uint32(p.Vals[kfs[d]]) & kms[d]
-				row := int(k)
-				if dim.lows != nil {
-					row = intervalRow(dim.lows, k)
+		dims, rows, nsum, rw := u.dims, u.rows, u.sumWords, u.sumWords+u.bsWords
+		if len(dims) == 4 {
+			// The same search with the four row offsets in registers.
+			return func(p *PHV) {
+				v := p.Vals
+				o0 := dims[0].off(uint32(v[kfs[0]])&kms[0], rw)
+				o1 := dims[1].off(uint32(v[kfs[1]])&kms[1], rw)
+				o2 := dims[2].off(uint32(v[kfs[2]])&kms[2], rw)
+				o3 := dims[3].off(uint32(v[kfs[3]])&kms[3], rw)
+				for sw := 0; sw < nsum; sw++ {
+					for x := rows[o0+sw] & rows[o1+sw] & rows[o2+sw] & rows[o3+sw]; x != 0; x &= x - 1 {
+						w := sw*64 + bits.TrailingZeros64(x)
+						if y := rows[o0+nsum+w] & rows[o1+nsum+w] & rows[o2+nsum+w] & rows[o3+nsum+w]; y != 0 {
+							h.apply(p, w*64+bits.TrailingZeros64(y))
+							return
+						}
+					}
 				}
-				rows[d] = dim.rows[row*bsWords : (row+1)*bsWords]
+				h.apply(p, miss)
 			}
-			// Lowest set bit of the intersection = first matching rule.
-			for w := 0; w < bsWords; w++ {
-				x := rows[0][w]
-				for d := 1; d < nd; d++ {
-					x &= rows[d][w]
-				}
-				if x != 0 {
-					apply(p, dat[w*64+bits.TrailingZeros64(x)])
-					return
-				}
-			}
-			miss(p)
 		}
-	case execScanExact:
-		apply := dataApplier(u.action, cp.regs)
-		miss := missApplier(u, apply)
-		kfs, kms, entries := u.keyFields, u.keyMasks, u.entries
+		return func(p *PHV) {
+			var off [maxBitmapDims]int
+			for d := range dims {
+				off[d] = dims[d].off(uint32(p.Vals[kfs[d]])&kms[d], rw)
+			}
+			and := func(w int) uint64 {
+				x := rows[off[0]+w]
+				for d := 1; d < len(dims); d++ {
+					x &= rows[off[d]+w]
+				}
+				return x
+			}
+			// Candidate words in ascending order; the lowest set bit of
+			// the first non-zero intersection is the first matching rule.
+			for sw := 0; sw < nsum; sw++ {
+				for x := and(sw); x != 0; x &= x - 1 {
+					w := sw*64 + bits.TrailingZeros64(x)
+					if y := and(nsum + w); y != 0 {
+						h.apply(p, w*64+bits.TrailingZeros64(y))
+						return
+					}
+				}
+			}
+			h.apply(p, miss)
+		}
+	case execScanExact, execScanTernary:
+		entries, ternary := u.entries, u.kind == execScanTernary
 		return func(p *PHV) {
 			key := p.keyBuf(len(kfs))
 			for i, f := range kfs {
 				key[i] = uint32(p.Vals[f]) & kms[i]
 			}
-		scanE:
+		scan:
 			for ei := range entries {
 				e := &entries[ei]
-				for i := range key {
-					if e.Key[i] != key[i] {
-						continue scanE
+				for i, k := range key {
+					if ternary {
+						k &= e.Mask[i]
+					}
+					if k != e.Key[i] {
+						continue scan
 					}
 				}
-				apply(p, e.Data)
+				h.apply(p, ei)
 				return
 			}
-			miss(p)
-		}
-	case execScanTernary:
-		apply := dataApplier(u.action, cp.regs)
-		miss := missApplier(u, apply)
-		kfs, kms, entries := u.keyFields, u.keyMasks, u.entries
-		return func(p *PHV) {
-			key := p.keyBuf(len(kfs))
-			for i, f := range kfs {
-				key[i] = uint32(p.Vals[f]) & kms[i]
-			}
-		scanT:
-			for ei := range entries {
-				e := &entries[ei]
-				for i := range key {
-					if key[i]&e.Mask[i] != e.Key[i] {
-						continue scanT
-					}
-				}
-				apply(p, e.Data)
-				return
-			}
-			miss(p)
+			h.apply(p, miss)
 		}
 	}
 	panic("pisa: unknown exec kind")
-}
-
-// missApplier returns the unit's miss behaviour: run the action with
-// the default data, or nothing.
-func missApplier(u *execUnit, apply func(*PHV, []int32)) func(*PHV) {
-	if !u.hasDef {
-		return func(*PHV) {}
-	}
-	def := u.defData
-	return func(p *PHV) { apply(p, def) }
 }

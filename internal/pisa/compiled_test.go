@@ -1,14 +1,17 @@
 package pisa
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
 // randProgram generates a random program exercising every compiled
 // specialisation: merged always-runs, gated tables, direct-indexed and
-// hashed exact tables, interval-coded and generic ternary tables, and
-// register read-modify-writes.
+// hashed exact tables, value tables and load runs, interval-coded,
+// bitmap (two to four fields, up to several row words) and generic
+// ternary tables, and register read-modify-writes.
 func randProgram(t *testing.T, rng *rand.Rand) (*Program, []FieldID) {
 	t.Helper()
 	var l Layout
@@ -84,7 +87,7 @@ func randProgram(t *testing.T, rng *rand.Rand) (*Program, []FieldID) {
 
 	for n := 0; n < 6+rng.Intn(6); n++ {
 		dataLen := 1 + rng.Intn(3)
-		switch rng.Intn(6) {
+		switch rng.Intn(8) {
 		case 0: // always-run (merge candidates: often ungated, back to back)
 			addTable(&Table{Name: nm("always", n), Kind: MatchNone,
 				DefaultData: randData(dataLen), Action: randOps(3, dataLen), Gate: randGate()})
@@ -147,6 +150,49 @@ func randProgram(t *testing.T, rng *rand.Rand) (*Program, []FieldID) {
 			addTable(&Table{Name: nm("multi", n), Kind: MatchTernary,
 				KeyFields: []FieldID{f(), f()}, KeyWidths: []int{w0, w1}, Entries: entries,
 				Action: randOps(2, dataLen), Gate: randGate()})
+		case 5: // back-to-back single-destination loads -> load runs
+			dst := f()
+			for k := 0; k < 1+rng.Intn(4); k++ {
+				key := f()
+				if rng.Intn(2) == 0 {
+					key = dst // keyed on the previous load's destination
+				}
+				dst = f()
+				w := 3 + rng.Intn(4)
+				var entries []Entry
+				for v := 0; v < 1<<w; v++ {
+					if rng.Intn(8) != 0 { // mostly full domains
+						entries = append(entries, Entry{Key: []uint32{uint32(v)}, Data: randData(dataLen)})
+					}
+				}
+				var def []int32
+				if rng.Intn(2) == 0 {
+					def = randData(dataLen)
+				}
+				var gate *Gate
+				if rng.Intn(4) == 0 { // a gated load must end the run
+					gate = &Gate{Field: f(), Op: GateOp(1 + rng.Intn(4)), Value: int32(rng.Intn(4))}
+				}
+				addTable(&Table{Name: nm(nm("load", n), k), Kind: MatchExact,
+					KeyFields: []FieldID{key}, KeyWidths: []int{w}, Entries: entries, DefaultData: def, Gate: gate,
+					Action: []Op{{Kind: OpSetData, Dst: dst, DataIdx: rng.Intn(dataLen)}}})
+			}
+		case 6: // three- and four-field prefix ternary, several row words -> bitmap
+			nf := 3 + rng.Intn(2)
+			tbl := &Table{Name: nm("combo", n), Kind: MatchTernary, Action: randOps(2, dataLen), Gate: randGate()}
+			for d := 0; d < nf; d++ {
+				tbl.KeyFields = append(tbl.KeyFields, f())
+				tbl.KeyWidths = append(tbl.KeyWidths, []int{4, 6, 13, 16}[rng.Intn(4)])
+			}
+			for r := 0; r < 40+rng.Intn(200); r++ {
+				// A first row word of narrow rules, so that hits land in
+				// later words too.
+				tbl.Entries = append(tbl.Entries, randPrefixEntry(rng, tbl.KeyWidths, r < 64, randData(dataLen)))
+			}
+			if rng.Intn(2) == 0 {
+				tbl.DefaultData = randData(dataLen)
+			}
+			addTable(tbl)
 		default: // wide single-field exact -> hashed, not direct
 			entries := make([]Entry, 1+rng.Intn(8))
 			for i := range entries {
@@ -162,6 +208,23 @@ func randProgram(t *testing.T, rng *rand.Rand) (*Program, []FieldID) {
 		}
 	}
 	return prog, fields
+}
+
+// randPrefixEntry draws one prefix-mask ternary entry over fields of
+// the given widths: narrow entries wildcard at most two low bits per
+// field and rarely hit, the others draw every prefix length.
+func randPrefixEntry(rng *rand.Rand, widths []int, narrow bool, data []int32) Entry {
+	e := Entry{Data: data}
+	for _, w := range widths {
+		free := rng.Intn(w + 1)
+		if narrow {
+			free = rng.Intn(3)
+		}
+		mask := widthMask(w) &^ widthMask(free)
+		e.Key = append(e.Key, rng.Uint32()&mask)
+		e.Mask = append(e.Mask, mask)
+	}
+	return e
 }
 
 func fieldName(i int) string { return string(rune('a' + i)) }
@@ -291,5 +354,244 @@ func TestCompiledIntervalPriority(t *testing.T) {
 		if ipv.Get(out) != cpv.Get(out) {
 			t.Fatalf("k=%d: interp %d compiled %d", v, ipv.Get(out), cpv.Get(out))
 		}
+	}
+}
+
+// diffProcess requires Program.Process and the compiled plan to leave
+// bit-identical PHVs for every given assignment of the input fields.
+func diffProcess(t *testing.T, prog *Program, plan *CompiledProgram, fields []FieldID, inputs [][]int32) {
+	t.Helper()
+	ipv, cpv := prog.Layout.NewPHV(), prog.Layout.NewPHV()
+	for n, in := range inputs {
+		ipv.Reset()
+		cpv.Reset()
+		for i, f := range fields {
+			ipv.Set(f, in[i])
+			cpv.Set(f, in[i])
+		}
+		prog.Process(ipv)
+		plan.Process(cpv)
+		for i := range ipv.Vals {
+			if ipv.Vals[i] != cpv.Vals[i] {
+				t.Fatalf("input %d %v: field %s interp %d compiled %d", n, in, prog.Layout.Name(FieldID(i)), ipv.Vals[i], cpv.Vals[i])
+			}
+		}
+	}
+}
+
+// TestCompiledLoadRuns pins which tables become value tables and where
+// load runs start and stop: a load keyed on its predecessor's
+// destination stays in the run (and sees that destination), a gated
+// load and a multi-destination value table each end it, and a
+// partial-domain table without default keeps its slots, because its
+// misses must leave the PHV untouched.
+func TestCompiledLoadRuns(t *testing.T) {
+	var l Layout
+	a := l.MustAdd("a", 8)
+	b := l.MustAdd("b", 8)
+	g := l.MustAdd("g", 8)
+	var x []FieldID
+	for i := 0; i < 10; i++ {
+		x = append(x, l.MustAdd(nm("x", i), 16))
+	}
+	prog := NewProgram("loads", &l, Tofino2)
+	stage := 0
+	full := func(w, mul int) (es []Entry) {
+		for v := 0; v < 1<<w; v++ {
+			es = append(es, Entry{Key: []uint32{uint32(v)}, Data: []int32{int32(v*mul + 1), int32(-v)}})
+		}
+		return es
+	}
+	load := func(key FieldID, w int, dst FieldID, entries []Entry, def []int32, gate *Gate) {
+		prog.Place(stage, &Table{Name: nm("t", stage), Kind: MatchExact, KeyFields: []FieldID{key}, KeyWidths: []int{w},
+			Entries: entries, DefaultData: def, Gate: gate, Action: []Op{{Kind: OpSetData, Dst: dst, DataIdx: 0}}})
+		stage++
+	}
+	// Run of four: full domain; range-coded ternary with a catch-all;
+	// keyed on the previous load's destination; partial domain with a
+	// default.
+	load(a, 4, x[0], full(4, 3), nil, nil)
+	prog.Place(stage, &Table{Name: "range", Kind: MatchTernary, KeyFields: []FieldID{b}, KeyWidths: []int{8},
+		Entries: []Entry{
+			{Key: []uint32{0x40}, Mask: []uint32{0xc0}, Data: []int32{5}},
+			{Key: []uint32{0}, Mask: []uint32{0}, Data: []int32{9}},
+		}, Action: []Op{{Kind: OpSetData, Dst: x[1], DataIdx: 0}}})
+	stage++
+	load(x[1], 4, x[2], full(4, 7), nil, nil)
+	load(a, 4, x[3], full(4, 2)[:5], []int32{-77}, nil)
+	// A gated load ends the run and is a unit of its own.
+	load(b, 3, x[4], full(3, 11), nil, &Gate{Field: g, Op: GateEQ, Value: 1})
+	// Run of one, ended by a two-destination value table.
+	load(x[4], 3, x[5], full(3, 13), nil, nil)
+	prog.Place(stage, &Table{Name: "pair", Kind: MatchExact, KeyFields: []FieldID{b}, KeyWidths: []int{4}, Entries: full(4, 17),
+		Action: []Op{{Kind: OpSetData, Dst: x[6], DataIdx: 1}, {Kind: OpSetData, Dst: x[7], DataIdx: 0}}})
+	stage++
+	// Run of two, ended by a partial-domain table without default.
+	load(x[7], 5, x[8], full(5, 19), nil, nil)
+	load(x[8], 5, x[9], full(5, 23), nil, nil)
+	load(a, 4, x[0], full(4, 29)[3:], nil, nil)
+	if err := prog.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	plan := CompileProgram(prog)
+	sh := plan.Shape()
+	if fmt.Sprint(sh.LoadRuns) != "[4 1 2]" || sh.ValueTables != 2 || sh.SlotDirect != 1 || sh.Units != 6 || sh.Tables != 10 {
+		t.Errorf("shape %v, want load runs of 4, 1 and 2, two value tables, one slot-direct unit: 10 tables in 6 units", sh)
+	}
+	var inputs [][]int32
+	for av := 0; av < 16; av++ {
+		for bv := 0; bv < 256; bv += 5 {
+			inputs = append(inputs, []int32{int32(av), int32(bv), int32(bv % 3)})
+		}
+	}
+	diffProcess(t, prog, plan, []FieldID{a, b, g}, inputs)
+}
+
+// bitmapCase builds a one-table program over nf key fields of the
+// given widths and returns probe keys: for every rule one key inside
+// its box (which an earlier overlapping rule may still win), plus
+// random keys, most of which miss.
+func bitmapCase(rng *rand.Rand, widths []int, rules int, def []int32) (*Program, []FieldID, [][]int32) {
+	var l Layout
+	var keys []FieldID
+	for d := range widths {
+		keys = append(keys, l.MustAdd(nm("k", d), 16))
+	}
+	out := l.MustAdd("out", 32)
+	tbl := &Table{Name: "combo", Kind: MatchTernary, KeyFields: keys, KeyWidths: widths, DefaultData: def,
+		Action: []Op{{Kind: OpSetData, Dst: out, DataIdx: 0}}}
+	var probes [][]int32
+	for r := 0; r < rules; r++ {
+		e := randPrefixEntry(rng, widths, r%3 != 0, []int32{int32(r + 1)})
+		tbl.Entries = append(tbl.Entries, e)
+		in, miss := make([]int32, len(widths)), make([]int32, len(widths))
+		for d, w := range widths {
+			in[d] = int32(e.Key[d] | rng.Uint32()&(widthMask(w)&^e.Mask[d]))
+			miss[d] = int32(rng.Uint32() & widthMask(w))
+		}
+		probes = append(probes, in, miss)
+	}
+	prog := NewProgram("bitmap", &l, Tofino2)
+	prog.Place(0, tbl)
+	return prog, keys, probes
+}
+
+// TestCompiledBitmapSummaries drives the summary-indexed bitmap lookup
+// over rule sets of one to several row words and summary words, three
+// and four key fields, dense and interval-searched dimensions, with and
+// without default data: every rule is probed inside its own box, so
+// hits land in every row word and first-match priority is checked
+// against the overlapping rules ahead of it.
+func TestCompiledBitmapSummaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for _, tc := range []struct {
+		widths []int
+		rules  int
+		def    []int32
+	}{
+		{[]int{6, 5, 5}, 40, nil},               // one row word
+		{[]int{6, 14, 5}, 200, []int32{-1}},     // four row words, a searched dimension
+		{[]int{6, 5, 5, 5}, 1500, nil},          // the CNN-M combo shape: 24 row words
+		{[]int{5, 13, 4, 16}, 4500, []int32{0}}, // 71 row words: two summary words
+		{[]int{4, 4}, 9000, nil},                // 141 row words: three summary words
+	} {
+		prog, keys, probes := bitmapCase(rng, tc.widths, tc.rules, tc.def)
+		plan := CompileProgram(prog)
+		sh := plan.Shape()
+		words := (tc.rules + 63) / 64
+		if want := words + (words+63)/64; len(sh.Bitmaps) != 1 || sh.Bitmaps[0] != want {
+			t.Fatalf("widths %v, %d rules: shape %v, want one bitmap unit of %d words per row", tc.widths, tc.rules, sh, want)
+		}
+		diffProcess(t, prog, plan, keys, probes)
+		phv := prog.Layout.NewPHV()
+		if allocs := testing.AllocsPerRun(20, func() { plan.Process(phv) }); allocs != 0 {
+			t.Fatalf("widths %v: bitmap lookup allocates %.1f heap objects per packet", tc.widths, allocs)
+		}
+	}
+}
+
+// TestCompiledBitmapFalseCandidate pins the fall-through: for key (1,2)
+// both dimensions have a rule in row word 0 — rule 0 and rule 1 — so the
+// summaries make word 0 a candidate, yet the two share no rule there;
+// the search must move on to word 1, where rule 70 matches. Key (2,1)
+// has the same false candidate and nothing behind it: a total miss.
+func TestCompiledBitmapFalseCandidate(t *testing.T) {
+	var l Layout
+	k0 := l.MustAdd("k0", 8)
+	k1 := l.MustAdd("k1", 8)
+	out := l.MustAdd("out", 32)
+	exact := func(v0, v1 uint32, data int32) Entry {
+		return Entry{Key: []uint32{v0, v1}, Mask: []uint32{0xf, 0xf}, Data: []int32{data}}
+	}
+	entries := []Entry{exact(1, 1, 100), exact(2, 2, 101)}
+	for len(entries) < 70 {
+		entries = append(entries, exact(15, 15, 1))
+	}
+	entries = append(entries, exact(1, 2, 170))
+	prog := NewProgram("false-candidate", &l, Tofino2)
+	prog.Place(0, &Table{Name: "t", Kind: MatchTernary, KeyFields: []FieldID{k0, k1}, KeyWidths: []int{4, 4},
+		Entries: entries, Action: []Op{{Kind: OpSetData, Dst: out, DataIdx: 0}}})
+	plan := CompileProgram(prog)
+	if sh := plan.Shape(); len(sh.Bitmaps) != 1 || sh.Bitmaps[0] != 3 {
+		t.Fatalf("shape %v, want one bitmap unit of 1 summary + 2 row words", sh)
+	}
+	phv := l.NewPHV()
+	for _, tc := range []struct{ v0, v1, want int32 }{{1, 2, 170}, {2, 1, 0}, {1, 1, 100}, {3, 3, 0}, {15, 15, 1}} {
+		phv.Reset()
+		phv.Set(k0, tc.v0)
+		phv.Set(k1, tc.v1)
+		plan.Process(phv)
+		if got := phv.Get(out); got != tc.want {
+			t.Fatalf("key (%d,%d): out %d, want %d", tc.v0, tc.v1, got, tc.want)
+		}
+	}
+	var inputs [][]int32
+	for v0 := int32(0); v0 < 16; v0++ {
+		for v1 := int32(0); v1 < 16; v1++ {
+			inputs = append(inputs, []int32{v0, v1})
+		}
+	}
+	diffProcess(t, prog, plan, []FieldID{k0, k1}, inputs)
+}
+
+// TestActionDataArity pins the arity check: an entry or default with
+// fewer action-data values than the action reads is reported by
+// Validate, table and entry named, and fails plan construction instead
+// of panicking on the first packet that hits it.
+func TestActionDataArity(t *testing.T) {
+	build := func(entryData, def []int32) *Program {
+		var l Layout
+		k := l.MustAdd("k", 8)
+		out := l.MustAdd("out", 16)
+		p := NewProgram("arity", &l, Tofino2)
+		p.Place(0, &Table{Name: "short", Kind: MatchExact, KeyFields: []FieldID{k}, KeyWidths: []int{4},
+			Entries:     []Entry{{Key: []uint32{1}, Data: []int32{1, 2}}, {Key: []uint32{2}, Data: entryData}},
+			DefaultData: def,
+			Action:      []Op{{Kind: OpSetData, Dst: out, DataIdx: 0}, {Kind: OpAddData, Dst: out, A: out, DataIdx: 1}}})
+		return p
+	}
+	if err := build([]int32{3, 4}, []int32{5, 6}).Validate(); err != nil {
+		t.Fatalf("full-arity table rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		p    *Program
+		want string
+	}{
+		{build([]int32{3}, nil), `table "short" entry 1 has 1 action-data values, its action reads 2`},
+		{build([]int32{3, 4}, []int32{}), `table "short" default has 0 action-data values, its action reads 2`},
+	} {
+		err := tc.p.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Validate = %v, want it to report %q", err, tc.want)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Fatalf("CompileProgram panic = %v, want %q", r, tc.want)
+				}
+			}()
+			CompileProgram(tc.p)
+		}()
 	}
 }

@@ -143,17 +143,20 @@ type Engine struct {
 	// point as a unit index into plans[0].
 	split PlanSplit
 	cut   int
+	// shape is what the chain's plans lowered to (tables only on
+	// ExecInterpret engines, which have no plan).
+	shape PlanShape
 }
 
 // PlanSplit reports how an engine divides its program chain between
 // the packets of a raw trace: PerPacket units run on every packet,
 // PerFire units — the stateless tail — only on the packets that raise
 // PacketMeta.Fire, and TailPipes of the chain's later pipes lie wholly
-// inside that tail. Units are plan units (one specialised table or one
-// merged run of always-tables) on ExecCompiled engines and tables on
-// ExecInterpret engines, which slice nothing: everything is PerPacket.
-// The same holds for engines without ConfigurePackets, where every job
-// is a whole window and runs the whole chain.
+// inside that tail. Units are plan units (one specialised table, one
+// merged run of always-tables or one load run) on ExecCompiled engines
+// and tables on ExecInterpret engines, which slice nothing: everything
+// is PerPacket. The same holds for engines without ConfigurePackets,
+// where every job is a whole window and runs the whole chain.
 //
 // Counters attached to tables later (ROADMAP 4(a)'s per-table hit
 // counters) inherit the split: in compiled mode a tail table counts
@@ -337,14 +340,16 @@ func (s *Scheduler) newSession(name string, weight int, progs []*Program, bridge
 		e.plans = make([]*CompiledProgram, len(progs))
 		for k, p := range progs {
 			e.plans[k] = CompileProgram(p)
-			e.split.PerPacket += len(e.plans[k].units)
+			e.shape.add(e.plans[k].Shape())
 		}
+		e.split.PerPacket = e.shape.Units
 	} else {
 		for _, p := range progs {
 			for _, st := range p.Stages {
-				e.split.PerPacket += len(st.Tables)
+				e.shape.Tables += len(st.Tables)
 			}
 		}
+		e.split.PerPacket = e.shape.Tables
 	}
 	e.phvs = make([][]*PHV, shards)
 	e.shardIdx = make([][]int, shards)
@@ -857,6 +862,10 @@ func (e *Engine) ConfigurePackets(meta PacketMeta) {
 // PlanSplit returns the engine's per-packet / per-fire division of its
 // program chain.
 func (e *Engine) PlanSplit() PlanSplit { return e.split }
+
+// PlanShape returns what the engine's program chain lowered to, summed
+// over its pipes (see PlanShape).
+func (e *Engine) PlanShape() PlanShape { return e.shape }
 
 // RunPackets pushes a trace of raw packets through the program chain:
 // every packet updates the flow-state registers; packets that complete

@@ -160,8 +160,10 @@ func (p *Program) CompactRegisters(shards int) {
 // Validate checks the program against its capacity: stage count, per-
 // stage SRAM/TCAM, bus width, PHV size, intra-stage write hazards
 // (two tables in one stage writing the same field, or one reading a
-// field another writes — PISA stages execute in parallel), and the
-// one-read-modify-write-per-register-per-packet rule.
+// field another writes — PISA stages execute in parallel), the
+// one-read-modify-write-per-register-per-packet rule, and action-data
+// arity (every entry and default carries as many values as its table's
+// action reads).
 func (p *Program) Validate() error {
 	var errs []string
 	errs = append(errs, p.validateRMW()...)
@@ -186,6 +188,9 @@ func (p *Program) Validate() error {
 		writes := map[FieldID]string{}
 		reads := map[FieldID]string{}
 		for _, t := range st.Tables {
+			if err := t.checkData(); err != nil {
+				errs = append(errs, err.Error())
+			}
 			sram += t.SRAMBits()
 			tcam += t.TCAMBits()
 			bus += t.DataWidthBits

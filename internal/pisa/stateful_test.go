@@ -191,7 +191,10 @@ func addRandTail(rng *rand.Rand, prog *Program, stage int, io tailIO, n int) {
 	}
 	for t := 0; t < n; t++ {
 		tbl := &Table{Name: nm("tail", t), Gate: gate()}
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
+		case 5: // a load run behind the cut (a gated draw starts a new one)
+			stage = addLoadRun(rng, prog, stage, nm("tailld", t), io.sel, io.outs)
+			continue
 		case 0: // always-run
 			tbl.Kind, tbl.DefaultData = MatchNone, data(2)
 			tbl.Action = []Op{
@@ -238,10 +241,31 @@ func addRandTail(rng *rand.Rand, prog *Program, stage int, io tailIO, n int) {
 		Action: []Op{{Kind: OpAndImm, Dst: io.class, A: io.outs[0], Imm: 7}}})
 }
 
+// addLoadRun places two to four adjacent ungated full-domain loads —
+// one plan unit, a load run — keyed on sel or on the previous load's
+// destination, and returns the next free stage.
+func addLoadRun(rng *rand.Rand, prog *Program, stage int, name string, sel FieldID, dsts []FieldID) int {
+	key := sel
+	for k := 0; k < 2+rng.Intn(3); k++ {
+		tbl := &Table{Name: nm(name, k), Kind: MatchExact, KeyFields: []FieldID{key}, KeyWidths: []int{2}}
+		for v := uint32(0); v < 4; v++ {
+			tbl.Entries = append(tbl.Entries, Entry{Key: []uint32{v}, Data: []int32{int32(rng.Intn(400) - 200)}})
+		}
+		dst := dsts[rng.Intn(len(dsts))]
+		tbl.Action = []Op{{Kind: OpSetData, Dst: dst, DataIdx: 0}}
+		prog.Place(stage, tbl)
+		stage++
+		if rng.Intn(2) == 0 {
+			key = dst
+		}
+	}
+	return stage
+}
+
 // randSlicedChain builds a random fused packet program in the emitted
 // shape: a stateful prefix — slot derivation, a data-dependent fire
-// write, selector-gated register RMWs and one RMW gated on fire — and
-// a random stateless tail, which with two pipes starts in pipe 0 and
+// write, selector-gated register RMWs, a load run and one RMW gated on
+// fire — and a random stateless tail (load runs among its units), which with two pipes starts in pipe 0 and
 // continues behind a bridge in a register-free second pipe. It returns
 // the chain and the number of plan units the prefix compiles to.
 func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChain, int) {
@@ -291,6 +315,9 @@ func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChai
 			units++
 		}
 	}
+	// A load run ahead of the cut: one more unit every packet runs.
+	stage = addLoadRun(rng, prog, stage, "preld", sel, st[1:3])
+	units++
 	// The window-completing packet's own RMW (bank restore / counter
 	// restart in the emitted programs), gated on fire.
 	prog.Place(stage, &Table{Name: "on_fire", Kind: MatchNone, DefaultData: []int32{},
@@ -467,11 +494,11 @@ func TestFireSlicedEmptyTail(t *testing.T) {
 		Action: []Op{{Kind: OpRegStore, Reg: p.AddRegister(verdict), A: slot, B: c.class}}})
 	wantEmpty("register op in the last table", c)
 
-	// A late table that can lower the fire flag.
+	// A late table that lowers the fire flag for one selector in three.
 	c, _ = randSlicedChain(t, rng, 8, 1)
 	p, stage = last(c)
 	p.Place(stage, &Table{Name: "veto", Kind: MatchNone, DefaultData: []int32{},
-		Action: []Op{{Kind: OpSelEQI, Dst: c.meta.Fire, A: c.class, B: c.class, Imm: 0}}})
+		Action: []Op{{Kind: OpSelEQI, Dst: c.meta.Fire, A: c.meta.Fields[0], B: p.Layout.MustAdd("never", 8), Imm: 0}}})
 	wantEmpty("late fire write", c)
 
 	// A second pipe that counts packets per slot in its own register.

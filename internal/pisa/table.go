@@ -279,6 +279,34 @@ func (t *Table) lookup(phv *PHV) ([]int32, bool) {
 	return t.DefaultData, t.DefaultData != nil
 }
 
+// dataArity returns the number of action-data values the table's action
+// reads: its largest DataIdx plus one.
+func (t *Table) dataArity() int {
+	n := 0
+	for i := range t.Action {
+		if k := t.Action[i].Kind; (k == OpSetData || k == OpAddData) && t.Action[i].DataIdx >= n {
+			n = t.Action[i].DataIdx + 1
+		}
+	}
+	return n
+}
+
+// checkData reports the first entry, or the default, whose action data
+// is shorter than the action's arity: running the action on it would
+// index past the data.
+func (t *Table) checkData() error {
+	n := t.dataArity()
+	for ei := range t.Entries {
+		if len(t.Entries[ei].Data) < n {
+			return fmt.Errorf("table %q entry %d has %d action-data values, its action reads %d", t.Name, ei, len(t.Entries[ei].Data), n)
+		}
+	}
+	if t.DefaultData != nil && len(t.DefaultData) < n {
+		return fmt.Errorf("table %q default has %d action-data values, its action reads %d", t.Name, len(t.DefaultData), n)
+	}
+	return nil
+}
+
 func widthMask(w int) uint32 {
 	if w >= 32 {
 		return ^uint32(0)

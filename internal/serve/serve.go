@@ -576,6 +576,14 @@ func (m *Model) PlanSplit() pisa.PlanSplit {
 	return m.cur.eng.PlanSplit()
 }
 
+// PlanShape returns what the live engine's program chain lowered to
+// (see pisa.PlanShape).
+func (m *Model) PlanShape() pisa.PlanShape {
+	m.stateMu.RLock()
+	defer m.stateMu.RUnlock()
+	return m.cur.eng.PlanShape()
+}
+
 // Stats returns the model's cumulative serving counters across every
 // version it has run (retired generations included).
 func (m *Model) Stats() pisa.EngineStats {

@@ -104,7 +104,11 @@ func MatMul(dst, a, b *Mat) *Mat {
 	return dst
 }
 
-// MatMulT computes dst = a × bᵀ, allocating dst if nil.
+// MatMulT computes dst = a × bᵀ, allocating dst if nil. Four output
+// columns are computed per pass over a row of a, so four independent
+// accumulator chains are in flight instead of one serial s += chain;
+// each dot product still sums k in ascending order, so every element is
+// bit-identical to the one-column loop.
 func MatMulT(dst, a, b *Mat) *Mat {
 	if a.C != b.C {
 		panic(fmt.Sprintf("tensor: MatMulT %dx%d × (%dx%d)ᵀ", a.R, a.C, b.R, b.C))
@@ -115,14 +119,26 @@ func MatMulT(dst, a, b *Mat) *Mat {
 		panic("tensor: MatMulT dst shape mismatch")
 	}
 	for i := 0; i < a.R; i++ {
-		arow := a.Row(i)
-		for j := 0; j < b.R; j++ {
-			brow := b.Row(j)
-			s := 0.0
-			for k := range arow {
-				s += arow[k] * brow[k]
+		arow, drow := a.Row(i), dst.Row(i)
+		j := 0
+		for ; j+4 <= b.R; j += 4 {
+			b0, b1, b2, b3 := b.Row(j)[:len(arow)], b.Row(j + 1)[:len(arow)], b.Row(j + 2)[:len(arow)], b.Row(j + 3)[:len(arow)]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
 			}
-			dst.Set(i, j, s)
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < b.R; j++ {
+			brow := b.Row(j)[:len(arow)]
+			s := 0.0
+			for k, av := range arow {
+				s += av * brow[k]
+			}
+			drow[j] = s
 		}
 	}
 	return dst

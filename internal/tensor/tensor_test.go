@@ -66,6 +66,30 @@ func TestMatMulTAndTMatMulAgreeWithTranspose(t *testing.T) {
 	}
 }
 
+// TestMatMulTBitIdentical pins the register-blocked MatMulT to the
+// one-column loop it replaced: each dot product sums k ascending, so
+// the results are equal to the last bit, whatever b.R leaves over after
+// the four-column blocks. Trained weights depend on it.
+func TestMatMulTBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, shape := range [][3]int{{7, 48, 48}, {3, 4, 1}, {5, 9, 6}, {2, 13, 7}, {4, 1, 5}, {1, 0, 3}} {
+		a := New(shape[0], shape[1]).Randn(rng, 3)
+		b := New(shape[2], shape[1]).Randn(rng, 3)
+		got := MatMulT(nil, a, b)
+		for i := 0; i < a.R; i++ {
+			for j := 0; j < b.R; j++ {
+				s := 0.0
+				for k := 0; k < a.C; k++ {
+					s += a.At(i, k) * b.At(j, k)
+				}
+				if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(s) {
+					t.Fatalf("%dx%d × (%dx%d)ᵀ [%d,%d] = %v, scalar loop %v", a.R, a.C, b.R, b.C, i, j, g, s)
+				}
+			}
+		}
+	}
+}
+
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice(1, 3, []float64{1, 2, 3})
 	b := FromSlice(1, 3, []float64{4, 5, 6})
