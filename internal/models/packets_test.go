@@ -1,6 +1,7 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -373,7 +374,8 @@ func TestPacketPathHashCollisions(t *testing.T) {
 // TestPacketPathZeroAllocs pins the zero-per-packet-heap-allocation
 // property of the compiled stateful path: a whole-trace RunPackets call
 // may allocate only the returned result slice, so allocations per
-// packet must be (far) below one hundredth.
+// packet must be (far) below one hundredth. It also pins what the
+// CNN-M packet chain lowers to.
 func TestPacketPathZeroAllocs(t *testing.T) {
 	train, test, k := smallDataset(t)
 	rng := rand.New(rand.NewSource(67))
@@ -389,6 +391,14 @@ func TestPacketPathZeroAllocs(t *testing.T) {
 	jobs := PacketJobs(emp, netsim.Merge(test))
 	eng := emp.NewPacketEngine(1, pisa.ExecCompiled)
 	defer eng.Close()
+	// What every packet pays, read off the system: the prelude, the two
+	// bucket searches (256 length and 206 IPD values, each finished in
+	// two compares) and one dispatch over the window position — seven
+	// banks and the fire unit.
+	split, sh := eng.PlanSplit(), eng.PlanShape()
+	if split.PerPacket != 4 || split.PerFire != 10 || fmt.Sprint(sh.Dispatch, sh.Interval, sh.Searched) != "[8] [256 206] 0" {
+		t.Fatalf("CNN-M packet plan: %v; %v; want 4 units per packet, 10 per fire, one dispatch of 8 bodies, intervals 256+206 cell-indexed", split, sh)
+	}
 	eng.ResetState()
 	eng.RunPackets(jobs) // warm the reusable buffers
 	perCall := testing.AllocsPerRun(10, func() {

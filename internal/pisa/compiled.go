@@ -3,7 +3,7 @@ package pisa
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // CompiledProgram is a program lowered into a fixed execution plan. The
@@ -27,13 +27,16 @@ import (
 //     open-addressed hash table on the packed key.
 //   - Single-field ternary tables whose masks are all prefix masks —
 //     what consecutive range coding produces — become interval lookups
-//     with first-match priority folded into the intervals: a direct
-//     unit as above over narrow key domains, a sorted-interval binary
-//     search over wide ones.
+//     with first-match priority folded into the intervals and
+//     neighbours of equal action data merged: a direct unit as above
+//     over narrow key domains; over wide ones sorted interval starts
+//     behind a cell index (cellIndex: two compares, no search),
+//     resolved to values as well when the action only loads data.
 //   - Multi-field ternary tables with per-field prefix masks (the
 //     two-level combo tables) become per-dimension rule bitsets: each
-//     dimension resolves its key to the row of rules it satisfies and
-//     the intersection's lowest set bit is the first matching rule.
+//     dimension resolves its key to the row of rules it satisfies (a
+//     wide one through a cell index) and the intersection's lowest set
+//     bit is the first matching rule.
 //     Every row leads with summary words — bit w set iff row word w is
 //     non-zero — so the lookup intersects the summaries and probes only
 //     the candidate words, in ascending order, instead of every word
@@ -44,6 +47,11 @@ import (
 //     share no rule (a false candidate) just falls through to the next.
 //   - Everything else falls back to a generic scan with precomputed
 //     width masks.
+//   - Adjacent units gated == on one field that none of them writes — a
+//     gate family: a window machine's per-position banks and fire unit,
+//     the stats machine's per-direction trackers — merge, whatever each
+//     lowered to, into one dispatch unit: the field is read once and
+//     indexes a case table of their bodies (execUnit.adopt).
 //
 // Every lookup resolves to a slot of the unit's action-data slab: one
 // []int32 of fixed stride (the action's data arity, which addTable
@@ -59,7 +67,15 @@ import (
 // over the closure list, with no per-packet kind dispatch. Always-run
 // units additionally constant-fold their action data: OpSetData
 // becomes an immediate OpSet and OpAddData a saturating add-immediate,
-// so the merged op stream carries no data bus at all.
+// so the merged op stream carries no data bus at all. An op stream
+// that owns a register op is sealed (stream): its register ops are
+// resolved once and only its stateless runs still go through runOps.
+//
+// Measured and found wanting (numbers in ROADMAP item 5): popcount-
+// compacted bitmap rows, a compact pre-resolved switch for pure-ALU
+// streams (why only register-bearing ones are sealed), unit-major lane
+// blocks of 8–64 PHVs, slot-major interleaving of the register arena,
+// a 16-ary count search in place of the cell index.
 //
 // The plan references the source program's action programs and
 // registers and owns its lookup arrays; it adds no mutable state of its
@@ -73,7 +89,8 @@ import (
 // Engine.ConfigurePackets for the rule and its soundness argument).
 // The cut indexes units, and a merged unit is stateful as a whole if
 // any op of it is, so it can never fall inside a load run (whose loads
-// access no register to begin with).
+// access no register to begin with) or a gate family (whose stateless
+// members then run with it on every packet, unobservably).
 type CompiledProgram struct {
 	name   string
 	tables int // source tables lowered, dead ones included
@@ -88,21 +105,19 @@ const (
 	execAlways      execKind = iota // run ops unconditionally (merged MatchNone run)
 	execDirect                      // dense array over the masked key domain
 	execHash                        // open-addressed hash on the packed key
-	execInterval                    // binary search over sorted key intervals
+	execInterval                    // cell-indexed search over sorted key intervals
 	execBitmap                      // per-dimension rule-bitset intersection
 	execScanExact                   // generic exact linear scan
 	execScanTernary                 // generic ternary linear scan
+	execDispatch                    // gate family: case table over the gate field's value
 )
 
-// execUnit is one specialised table, merged run of always-tables or
-// load run.
+// execUnit is one specialised table, merged run of always-tables, load
+// run or gate family.
 type execUnit struct {
 	kind execKind
 
-	hasGate   bool
-	gateOp    GateOp
-	gateField FieldID
-	gateVal   int32
+	gate *Gate // the table's gateway (nil: ungated); a dispatch unit's names the family's field
 
 	keyFields []FieldID
 	keyMasks  []uint32
@@ -120,15 +135,19 @@ type execUnit struct {
 	miss   int32
 
 	dense []int32 // execDirect: masked key -> slot, miss folded in
-	tab   []int32 // execDirect value table: tab[key*len(action)+j]
+	tab   []int32 // value table: tab[row*len(action)+j], row the masked key (execDirect) or its interval
 	loads []load  // execDirect load run
 
 	hkeys  []uint64 // execHash: packed keys, parallel to hslot
 	hslot  []int32  // execHash: slot, -1 = empty
 	shifts []uint   // execHash: per-field pack shift
 
-	lows  []uint32 // execInterval: ascending interval starts, lows[0]=0
-	islot []int32  // execInterval: slot per interval, miss folded in
+	ix    cellIndex // execInterval: the interval starts, searched in O(1)
+	islot []int32   // execInterval: slot per interval, miss folded in; value units index tab by interval
+
+	// execDispatch: the family's members in table order, each keeping its
+	// own gate; action is their concatenation.
+	cases []execUnit
 
 	dims     []bitmapDim // execBitmap: per-key-field row index
 	rows     []uint64    // execBitmap: every dimension's rows
@@ -149,22 +168,23 @@ type load struct {
 // bitmapDim is one key field of an execBitmap unit: the mapping from a
 // masked key value to that dimension's row of the unit's rows array,
 // which holds a bit for every rule the dimension satisfies. Narrow
-// dimensions index rows by key value directly (lows nil); wide
-// dimensions binary-search lows for the elementary interval, whose
-// index is the row. Row r starts at base + r*(sumWords+bsWords).
+// dimensions index rows by key value directly (no index); wide
+// dimensions search ix for the elementary interval, whose index is the
+// row. Row r starts at base + r*(sumWords+bsWords).
 type bitmapDim struct {
 	base int
-	lows []uint32 // ascending interval starts; nil for dense dimensions
+	ix   *cellIndex // the elementary interval starts; nil for dense dimensions
 }
 
 // off returns where the row of masked key k starts in the rows array,
 // rw being the words per row.
+// It sits exactly at the inliner's budget: keep it this small (the
+// bitmap closures call it sixteen times per CNN-M window).
 func (dim *bitmapDim) off(k uint32, rw int) int {
-	row := int(k)
-	if dim.lows != nil {
-		row = intervalRow(dim.lows, k)
+	if dim.ix != nil {
+		return dim.base + dim.ix.row(k)*rw
 	}
-	return dim.base + row*rw
+	return dim.base + int(k)*rw
 }
 
 // directMaxBits bounds the key width direct-indexed exact tables
@@ -205,11 +225,7 @@ func CompileProgram(p *Program) *CompiledProgram {
 func (cp *CompiledProgram) seal() {
 	cp.procs = make([]func(*PHV), len(cp.units))
 	for i := range cp.units {
-		u := &cp.units[i]
-		if u.kind == execAlways {
-			foldAlwaysData(u)
-		}
-		cp.procs[i] = gateWrap(u, cp.lowerUnit(u))
+		cp.procs[i] = gateWrap(&cp.units[i], cp.lowerUnit(&cp.units[i]))
 	}
 }
 
@@ -225,11 +241,8 @@ const noField FieldID = -1
 // stateless.
 func (cp *CompiledProgram) statelessFrom(fire FieldID) int {
 	for i := len(cp.units) - 1; i >= 0; i-- {
-		for k := range cp.units[i].action {
-			op := &cp.units[i].action[k]
-			if op.regAccess() >= 0 || (op.writesDst() && op.Dst == fire) {
-				return i + 1
-			}
+		if a := cp.units[i].action; regOps(a) > 0 || writesField(a, fire) {
+			return i + 1
 		}
 	}
 	return 0
@@ -257,13 +270,10 @@ func (cp *CompiledProgram) addTable(t *Table) {
 		default:
 			panic(fmt.Sprintf("pisa: table %q gate has invalid op %d", t.Name, t.Gate.Op))
 		}
-		u.hasGate = true
-		u.gateOp = t.Gate.Op
-		u.gateField = t.Gate.Field
-		u.gateVal = t.Gate.Value
+		u.gate = t.Gate
 	}
 	var prev *execUnit
-	if n := len(cp.units); n > 0 && !u.hasGate && !cp.units[n-1].hasGate {
+	if n := len(cp.units); n > 0 && u.gate == nil && cp.units[n-1].gate == nil {
 		prev = &cp.units[n-1] // merge candidate: both ungated
 	}
 	switch t.Kind {
@@ -301,9 +311,9 @@ func (cp *CompiledProgram) addTable(t *Table) {
 			}
 		}
 	}
-	if u.valueTable() && !u.hasGate && len(u.action) == 1 {
-		// An ungated single-destination value table is a load; adjacent
-		// ones run as one unit, in table order.
+	if u.valueTable() && u.kind == execDirect && u.gate == nil && len(u.action) == 1 {
+		// An ungated single-destination direct value table is a load;
+		// adjacent ones run as one unit, in table order.
 		ld := load{key: u.keyFields[0], mask: u.keyMasks[0], dst: u.action[0].Dst, tab: u.tab}
 		if prev != nil && prev.loads != nil {
 			prev.loads = append(prev.loads, ld)
@@ -312,7 +322,49 @@ func (cp *CompiledProgram) addTable(t *Table) {
 		}
 		u.loads, u.tab = []load{ld}, nil
 	}
+	if n := len(cp.units); n > 0 && cp.units[n-1].adopt(&u) {
+		return
+	}
 	cp.units = append(cp.units, u)
+}
+
+// dispatchSpan bounds a dispatch unit's case table: the gate constants
+// of one family lie within this many consecutive values.
+const dispatchSpan = 256
+
+// adopt merges m into the gate family that u is or, still a lone
+// gated unit, becomes with it: adjacent units gated == on one field
+// that none of their ops writes. The field keeps one value from the
+// first gate to the last, so reading it once and running that value's
+// members in table order is what the gates decide one by one (the
+// stable-field rule of validateRMW). A member writing the field, any
+// other comparison, or a constant too far from the family's ends it.
+func (u *execUnit) adopt(m *execUnit) bool {
+	for _, x := range []*execUnit{m, u} {
+		if x.gate == nil || x.gate.Op != GateEQ || x.gate.Field != m.gate.Field || writesField(x.action, x.gate.Field) {
+			return false
+		}
+	}
+	fam := u.cases
+	if u.kind != execDispatch {
+		fam = []execUnit{*u}
+	}
+	fam = append(fam, *m)
+	if lo, hi := caseRange(fam); int64(hi)-int64(lo) >= dispatchSpan {
+		return false
+	}
+	*u = execUnit{kind: execDispatch, gate: &Gate{Field: m.gate.Field, Op: GateEQ}, cases: fam,
+		action: append(u.action[:len(u.action):len(u.action)], m.action...)}
+	return true
+}
+
+// caseRange returns the least and greatest gate constant of a family.
+func caseRange(fam []execUnit) (lo, hi int32) {
+	lo, hi = fam[0].gate.Value, fam[0].gate.Value
+	for i := range fam {
+		lo, hi = min(lo, fam[i].gate.Value), max(hi, fam[i].gate.Value)
+	}
+	return lo, hi
 }
 
 // slot appends one slot of action data to the unit's slab and returns
@@ -323,33 +375,30 @@ func (u *execUnit) slot(data []int32) int32 {
 	return u.slots - 1
 }
 
-// valueTable converts a direct unit whose action only loads action data
-// and whose every key value resolves to a slot into a value table: the
-// slot indirection is resolved at compile time, tab[key*n+j] being the
-// value of the action's jth destination. A key that misses without a
-// default must leave the PHV untouched, so such a table stays on slots.
+// valueTable converts a direct or interval unit whose action only loads
+// action data and whose every row (key value, interval) resolves to a
+// slot into a value table: the slot indirection is resolved at compile
+// time, tab[row*n+j] being the value of the action's jth destination. A
+// key that misses without a default must leave the PHV untouched, so
+// such a table stays on slots.
 func (u *execUnit) valueTable() bool {
-	n := len(u.action)
-	if u.kind != execDirect || n == 0 || len(u.dense)*n > valueTableCells {
+	n, slots := len(u.action), u.dense
+	if u.kind == execInterval {
+		slots = u.islot
+	}
+	if len(slots) == 0 || n == 0 || len(slots)*n > valueTableCells {
 		return false
 	}
-	for i := range u.action {
-		if u.action[i].Kind != OpSetData {
-			return false
-		}
+	if setsOf(u.action) == nil || slices.Min(slots) < 0 {
+		return false
 	}
-	for _, s := range u.dense {
-		if s < 0 {
-			return false
-		}
-	}
-	u.tab = make([]int32, len(u.dense)*n)
-	for k, s := range u.dense {
+	u.tab = make([]int32, len(slots)*n)
+	for k, s := range slots {
 		for j := range u.action {
 			u.tab[k*n+j] = u.flat[int(s)*u.stride+u.action[j].DataIdx]
 		}
 	}
-	u.dense, u.flat = nil, nil
+	u.dense, u.islot, u.flat = nil, nil, nil
 	return true
 }
 
@@ -486,7 +535,7 @@ func (cp *CompiledProgram) specializeTernary(t *Table, u *execUnit) {
 // every rule start, and every position just past a rule end, clipped
 // to the key domain wm. No rule boundary falls strictly inside an
 // elementary interval, so rule coverage is constant across each.
-func elementaryLows(rules [][]span, d int, wm uint64) []uint32 {
+func elementaryLows(rules [][]span, d int, wm uint64) []uint64 {
 	bounds := []uint64{0}
 	for _, r := range rules {
 		bounds = append(bounds, r[d].lo)
@@ -494,41 +543,114 @@ func elementaryLows(rules [][]span, d int, wm uint64) []uint32 {
 			bounds = append(bounds, r[d].hi+1)
 		}
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	var lows []uint32
-	for _, b := range bounds {
-		if n := len(lows); n > 0 && uint64(lows[n-1]) == b {
-			continue
-		}
-		lows = append(lows, uint32(b))
-	}
-	return lows
+	slices.Sort(bounds)
+	return slices.Compact(bounds)
 }
 
+// le is the sign mask of low ≤ k (starts are 64-bit so that a pad of
+// 1<<32 lies above every key).
+func le(low uint64, k uint32) int { return int((int64(low) - int64(k) - 1) >> 63) }
+
 // intervalRow returns the index of the greatest interval start ≤ k;
-// lows is ascending with lows[0] == 0, so the result is always valid.
+// lows is ascending with lows[0] ≤ k, so the result is always valid.
 // The search is a branch-free lower-bound loop: the key is a packet
 // length or inter-arrival bucket no branch predictor can guess, so the
-// comparison becomes a sign mask (all ones when lows[probe] ≤ k) that
-// selects the step, and the only branch left is the loop's own, which
-// depends on len(lows) alone.
-func intervalRow(lows []uint32, k uint32) int {
+// comparison becomes a sign mask that selects the step, and the only
+// branch left is the loop's own, which depends on len(lows) alone.
+// Lookups go through cellIndex.row; this sizes row ranges at build
+// time and finishes the cells of a span index.
+func intervalRow(lows []uint64, k uint32) int {
 	base := 0
 	for n := len(lows); n > 1; {
 		half := n >> 1
-		le := (int64(lows[base+half]) - int64(k) - 1) >> 63
-		base += half & int(le)
+		base += half & le(lows[base+half], k)
 		n -= half
 	}
 	return base
 }
 
+// cellIndex resolves a key to its interval — the greatest start ≤ k —
+// without a search. Keys fall into semilog cells, (bit length, next m
+// key bits): every key below 2^(m+1) is its own cell, every octave
+// above splits into 2^m. tab holds each cell's first interval, and m is
+// the smallest width at which no cell holds more than two further
+// starts, so two compare-adds finish: one structure serves a linear
+// scale (len/6: m = 7) and a logarithmic one (IPD: m = 4). Where no
+// m ≤ cellMaxBits does (span), m gives about a cell per interval and
+// intervalRow finishes over the cell's own starts.
+type cellIndex struct {
+	lows []uint64 // ascending interval starts, lows[0] = 0, then two pads of 1<<32
+	tab  []int32  // cell -> first interval, plus one closing cell
+	m    uint
+	span bool
+}
+
+const cellMaxBits = 10
+
+// cellOf returns the cell of key k at width m.
+func cellOf(k uint32, m uint) int {
+	s := uint(bits.Len32(k >> (m + 1)))
+	return int(s<<m) + int(k>>(s&31))
+}
+
+// cellLow returns the least key of cell c at width m.
+func cellLow(c int, m uint) uint64 {
+	s := uint(max(c>>m-1, 0))
+	return uint64(c-int(s<<m)) << s
+}
+
+func (ix *cellIndex) row(k uint32) int {
+	c := cellOf(k, ix.m)
+	i := int(ix.tab[c])
+	if ix.span {
+		return i + intervalRow(ix.lows[i:ix.tab[c+1]+1], k)
+	}
+	return i - le(ix.lows[i+1], k) - le(ix.lows[i+2], k)
+}
+
+// newCellIndex indexes lows (ascending, lows[0] = 0) for keys ≤ km.
+func newCellIndex(lows []uint64, km uint32) cellIndex {
+	n := len(lows)
+	ix := cellIndex{lows: append(lows[:n:n], 1<<32, 1<<32)}
+	// fill builds tab at width ix.m and reports whether two compares finish.
+	fill := func() bool {
+		two, i := true, 0
+		ix.tab = make([]int32, cellOf(km, ix.m)+2)
+		for c := range ix.tab {
+			for i+1 < n && lows[i+1] <= cellLow(c, ix.m) {
+				i++
+			}
+			ix.tab[c] = int32(i)
+			two = two && (i+3 >= n || lows[i+3] >= cellLow(c+1, ix.m))
+		}
+		return two
+	}
+	for ix.m = 0; ix.m <= cellMaxBits; ix.m++ {
+		if fill() {
+			return ix
+		}
+	}
+	for ix.m = 0; ix.m < cellMaxBits && cellOf(km, ix.m) < n; ix.m++ {
+	}
+	ix.span = !fill()
+	return ix
+}
+
 // buildInterval lowers a single-field rule set into elementary
-// intervals; narrow domains expand into an execDirect dense array.
+// intervals, merging neighbours of equal action data (prefix expansion
+// spends several rules per value) but never a miss that leaves the PHV
+// untouched with an interval that runs the action; narrow domains
+// expand into an execDirect dense array.
 func (cp *CompiledProgram) buildInterval(t *Table, u *execUnit, rules [][]span) {
 	wm := uint64(u.keyMasks[0])
-	for _, b32 := range elementaryLows(rules, 0, wm) {
-		b := uint64(b32)
+	row := func(s int32) []int32 {
+		if s < 0 {
+			return t.DefaultData[:u.stride]
+		}
+		return u.flat[int(s)*u.stride : int(s+1)*u.stride]
+	}
+	var lows []uint64
+	for _, b := range elementaryLows(rules, 0, wm) {
 		// First rule covering b wins, as in the entry scan.
 		slot := int32(-1)
 		for ri, r := range rules {
@@ -537,29 +659,31 @@ func (cp *CompiledProgram) buildInterval(t *Table, u *execUnit, rules [][]span) 
 				break
 			}
 		}
-		if n := len(u.islot); n > 0 && u.islot[n-1] == slot {
-			continue // merge with the previous interval
+		if n := len(u.islot); n > 0 {
+			if prev := u.islot[n-1]; prev == slot || (t.DefaultData != nil || prev >= 0 && slot >= 0) && slices.Equal(row(prev), row(slot)) {
+				continue // merge with the previous interval
+			}
 		}
-		u.lows = append(u.lows, b32)
+		lows = append(lows, b)
 		u.islot = append(u.islot, slot)
 	}
 	if t.KeyWidths[0] > denseRangeBits {
-		u.kind = execInterval
+		u.kind, u.ix = execInterval, newCellIndex(lows, u.keyMasks[0])
 		return
 	}
 	// Narrow domain: expand the intervals into a per-value slot array.
 	u.kind = execDirect
 	u.dense = make([]int32, wm+1)
-	for i, lo := range u.lows {
+	for i, lo := range lows {
 		hi := wm
-		if i+1 < len(u.lows) {
-			hi = uint64(u.lows[i+1]) - 1
+		if i+1 < len(lows) {
+			hi = lows[i+1] - 1
 		}
-		for v := uint64(lo); v <= hi; v++ {
+		for v := lo; v <= hi; v++ {
 			u.dense[v] = u.islot[i]
 		}
 	}
-	u.lows, u.islot = nil, nil
+	u.islot = nil
 }
 
 // buildBitmap lowers a multi-field rule set into one row-indexed rule
@@ -583,19 +707,21 @@ func (cp *CompiledProgram) buildBitmap(t *Table, u *execUnit, rules [][]span) {
 		dim.base = len(u.rows)
 		wm := uint64(u.keyMasks[d])
 		nrows := int(wm) + 1 // narrow dimension: one row per key value
+		var lows []uint64
 		if t.KeyWidths[d] > denseRangeBits {
 			// Wide dimension: one row per elementary interval, resolved
-			// by binary search at lookup time.
-			dim.lows = elementaryLows(rules, d, wm)
-			nrows = len(dim.lows)
+			// through the cell index at lookup time.
+			lows = elementaryLows(rules, d, wm)
+			ix := newCellIndex(lows, u.keyMasks[d])
+			dim.ix, nrows = &ix, len(lows)
 		}
 		u.rows = append(u.rows, make([]uint64, nrows*rw)...)
 		for ri, rule := range rules {
 			// No rule boundary falls inside a row, so the rule covers
 			// exactly the rows from its interval's first key to its last.
 			lo, hi := int(rule[d].lo), int(rule[d].hi)
-			if dim.lows != nil {
-				lo, hi = intervalRow(dim.lows, uint32(lo)), intervalRow(dim.lows, uint32(hi))
+			if lows != nil {
+				lo, hi = intervalRow(lows, uint32(lo)), intervalRow(lows, uint32(hi))
 			}
 			word, bit := dim.base+u.sumWords+ri/64, uint64(1)<<uint(ri%64)
 			for row := lo; row <= hi; row++ {
@@ -659,19 +785,9 @@ func (cp *CompiledProgram) processRange(phv *PHV, lo, hi int) {
 // foldAlwaysData rewrites an always-run unit's data-bus ops into
 // immediates: the unit fires with exactly defData on every packet, so
 // OpSetData i is OpSet defData[i] and OpAddData i a saturating
-// add-immediate. After folding the op stream references no data slice.
+// add-immediate. The folded copy references no data slice.
 func foldAlwaysData(u *execUnit) {
-	folded := false
-	for i := range u.action {
-		if k := u.action[i].Kind; k == OpSetData || k == OpAddData {
-			folded = true
-			break
-		}
-	}
-	if !folded {
-		return
-	}
-	ops := append([]Op(nil), u.action...)
+	ops := slices.Clone(u.action)
 	for i := range ops {
 		switch ops[i].Kind {
 		case OpSetData:
@@ -686,11 +802,11 @@ func foldAlwaysData(u *execUnit) {
 // gateWrap binds a unit's gateway comparison around its body — one
 // typed closure per comparison, no per-packet op switch.
 func gateWrap(u *execUnit, body func(*PHV)) func(*PHV) {
-	if !u.hasGate {
-		return body
+	if u.gate == nil || u.kind == execDispatch {
+		return body // a family's gates are its case table
 	}
-	f, v := u.gateField, u.gateVal
-	switch u.gateOp {
+	f, v := u.gate.Field, u.gate.Value
+	switch u.gate.Op {
 	case GateEQ:
 		return func(p *PHV) {
 			if p.Vals[f] == v {
@@ -725,28 +841,111 @@ type setPair struct {
 	idx int
 }
 
+// stream is a unit's op stream as the plan executes it. A stream that
+// owns a register op is sealed: cut into runs of stateless ops, which
+// keep runOps (a second compact switch measured slower on them), and
+// register ops resolved once — *Register for regs[op.Reg], one bounds
+// check, truncation as a shift pair — the RMW count added once per
+// execution, as every op of a stream runs unconditionally.
+type stream struct {
+	ops    []Op
+	sealed []sealedOp
+	rmws   uint64
+}
+
+// sealedOp is a register op with its register (Op.Reg resolved), or a
+// run of stateless ops (reg nil).
+type sealedOp struct {
+	Op
+	reg *Register
+	alu []Op
+}
+
+func newStream(ops []Op, regs []*Register) stream {
+	st := stream{ops: ops, rmws: regOps(ops)}
+	for i, j := 0, 0; st.rmws > 0 && i < len(ops); i = j + 1 {
+		for j = i; j < len(ops) && ops[j].regAccess() < 0; j++ {
+		}
+		if j > i {
+			st.sealed = append(st.sealed, sealedOp{alu: ops[i:j]})
+		}
+		if j < len(ops) {
+			st.sealed = append(st.sealed, sealedOp{Op: ops[j], reg: regs[ops[j].Reg]})
+		}
+	}
+	return st
+}
+
+// runSealed executes a sealed stream on p with the given action data,
+// bit for bit as runOps would: a register op reads 0 from and drops its
+// write to an out-of-range cell, and hands the PHV its untruncated
+// result. Callers bind runOps directly when sealed is nil.
+func (st *stream) runSealed(p *PHV, data []int32) {
+	p.RegRMWs += st.rmws
+	for i := range st.sealed {
+		op := &st.sealed[i]
+		r := op.reg
+		if r == nil {
+			runOps(op.alu, p, data, nil)
+			continue
+		}
+		c, old, v := r.cell(p.Vals[op.A]), int32(0), p.Vals[op.B]
+		if c >= 0 {
+			old = r.vals[c]
+		}
+		switch op.Kind {
+		case OpRegLoad:
+			p.Vals[op.Dst] = old
+			continue
+		case OpRegStore, OpRegExch: // the cell takes B as it is
+		case OpRegMax:
+			v = max(old, v)
+		case OpRegMin:
+			v = min(old, v)
+		case OpRegAdd:
+			v += old
+		case OpRegCntRestart:
+			if v = op.Imm; p.Vals[op.B] == 0 {
+				v = old + 1
+			}
+		}
+		if c >= 0 {
+			w := uint(32 - r.Width)
+			r.vals[c] = v << w >> w
+		}
+		if op.Kind == OpRegExch {
+			v = old
+		}
+		if op.writesDst() {
+			p.Vals[op.Dst] = v
+		}
+	}
+}
+
 // hit applies a unit's action with the action data of one slab slot.
 // The ubiquitous all-OpSetData shape (feature loads, class/output
 // writebacks) specialises into a bare copy loop (sets non-nil).
 type hit struct {
-	sets   []setPair
-	ops    []Op
-	regs   []*Register
+	sets []setPair
+	stream
 	flat   []int32
 	stride int
 }
 
 func (cp *CompiledProgram) hitOf(u *execUnit) *hit {
-	h := &hit{ops: u.action, regs: cp.regs, flat: u.flat, stride: u.stride}
-	for i := range u.action {
-		if u.action[i].Kind != OpSetData {
-			return h
+	return &hit{sets: setsOf(u.action), stream: newStream(u.action, cp.regs), flat: u.flat, stride: u.stride}
+}
+
+// setsOf folds an action of OpSetData only into its copy pairs; nil
+// for any other action.
+func setsOf(action []Op) (sets []setPair) {
+	for _, op := range action {
+		if op.Kind != OpSetData {
+			return nil
 		}
+		sets = append(sets, setPair{op.Dst, op.DataIdx})
 	}
-	for _, op := range u.action {
-		h.sets = append(h.sets, setPair{op.Dst, op.DataIdx})
-	}
-	return h
+	return sets
 }
 
 // apply runs the action on slot s; a negative slot is a miss without
@@ -757,7 +956,11 @@ func (h *hit) apply(p *PHV, s int) {
 	}
 	row := h.flat[s*h.stride : (s+1)*h.stride]
 	if h.sets == nil {
-		runOps(h.ops, p, row, h.regs)
+		if h.sealed == nil {
+			runOps(h.ops, p, row, nil)
+		} else {
+			h.runSealed(p, row)
+		}
 		return
 	}
 	for _, pr := range h.sets {
@@ -765,10 +968,18 @@ func (h *hit) apply(p *PHV, s int) {
 	}
 }
 
+// load copies row r of a value table into the action's destinations.
+func (h *hit) load(p *PHV, tab []int32, r int) {
+	base := r * len(h.sets)
+	for j, pr := range h.sets {
+		p.Vals[pr.dst] = tab[base+j]
+	}
+}
+
 // alwaysApplier returns the closure for a (folded) always-run op
-// stream: single-op units — the emitted shape for register RMWs and
-// scalar fixups — bind straight to a dedicated closure; longer streams
-// run through runOps with no data bus.
+// stream: single stateless ops — the emitted shape for scalar fixups —
+// bind straight to a dedicated closure; everything else runs as a
+// stream with no data bus.
 func alwaysApplier(ops []Op, regs []*Register) func(*PHV) {
 	if len(ops) == 1 {
 		op := ops[0]
@@ -781,29 +992,13 @@ func alwaysApplier(ops []Op, regs []*Register) func(*PHV) {
 			return func(p *PHV) { p.Vals[op.Dst] = p.Vals[op.A] + op.Imm }
 		case OpAndImm:
 			return func(p *PHV) { p.Vals[op.Dst] = p.Vals[op.A] & op.Imm }
-		case OpRegAdd:
-			r := regs[op.Reg]
-			return func(p *PHV) {
-				p.RegRMWs++
-				v := r.Get(int(p.Vals[op.A])) + p.Vals[op.B]
-				r.Set(int(p.Vals[op.A]), v)
-				p.Vals[op.Dst] = v
-			}
-		case OpRegCntRestart:
-			r := regs[op.Reg]
-			return func(p *PHV) {
-				p.RegRMWs++
-				idx := int(p.Vals[op.A])
-				v := op.Imm
-				if p.Vals[op.B] == 0 {
-					v = r.Get(idx) + 1
-				}
-				r.Set(idx, v)
-				p.Vals[op.Dst] = v
-			}
 		}
 	}
-	return func(p *PHV) { runOps(ops, p, nil, regs) }
+	st := newStream(ops, regs)
+	if st.sealed == nil {
+		return func(p *PHV) { runOps(ops, p, nil, nil) }
+	}
+	return func(p *PHV) { st.runSealed(p, nil) }
 }
 
 // lowerUnit lowers one specialised unit into its straight-line closure
@@ -811,8 +1006,24 @@ func alwaysApplier(ops []Op, regs []*Register) func(*PHV) {
 // value, so the hot path reads no execUnit fields and performs no kind
 // dispatch.
 func (cp *CompiledProgram) lowerUnit(u *execUnit) func(*PHV) {
-	if u.kind == execAlways {
+	switch u.kind {
+	case execAlways:
+		foldAlwaysData(u)
 		return alwaysApplier(u.action, cp.regs)
+	case execDispatch:
+		lo, hi := caseRange(u.cases)
+		bodies, f := make([][]func(*PHV), hi-lo+1), u.gate.Field
+		for i := range u.cases {
+			c := u.cases[i].gate.Value - lo
+			bodies[c] = append(bodies[c], cp.lowerUnit(&u.cases[i]))
+		}
+		return func(p *PHV) {
+			if i := uint32(p.Vals[f] - lo); i < uint32(len(bodies)) {
+				for _, body := range bodies[i] {
+					body(p)
+				}
+			}
+		}
 	}
 	h, miss := cp.hitOf(u), int(u.miss)
 	kfs, kms := u.keyFields, u.keyMasks
@@ -828,13 +1039,8 @@ func (cp *CompiledProgram) lowerUnit(u *execUnit) func(*PHV) {
 			}
 		}
 		kf, km := kfs[0], kms[0]
-		if tab, sets := u.tab, h.sets; tab != nil {
-			return func(p *PHV) {
-				base := int(uint32(p.Vals[kf])&km) * len(sets)
-				for j, pr := range sets {
-					p.Vals[pr.dst] = tab[base+j]
-				}
-			}
+		if tab := u.tab; tab != nil {
+			return func(p *PHV) { h.load(p, tab, int(uint32(p.Vals[kf])&km)) }
 		}
 		dense := u.dense
 		return func(p *PHV) { h.apply(p, int(dense[uint32(p.Vals[kf])&km])) }
@@ -856,8 +1062,11 @@ func (cp *CompiledProgram) lowerUnit(u *execUnit) func(*PHV) {
 			h.apply(p, s)
 		}
 	case execInterval:
-		kf, km, lows, islot := kfs[0], kms[0], u.lows, u.islot
-		return func(p *PHV) { h.apply(p, int(islot[intervalRow(lows, uint32(p.Vals[kf])&km)])) }
+		kf, km, ix, islot := kfs[0], kms[0], u.ix, u.islot
+		if tab := u.tab; tab != nil {
+			return func(p *PHV) { h.load(p, tab, ix.row(uint32(p.Vals[kf])&km)) }
+		}
+		return func(p *PHV) { h.apply(p, int(islot[ix.row(uint32(p.Vals[kf])&km)])) }
 	case execBitmap:
 		dims, rows, nsum, rw := u.dims, u.rows, u.sumWords, u.sumWords+u.bsWords
 		if len(dims) == 4 {

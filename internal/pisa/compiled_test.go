@@ -4,14 +4,36 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// seedRuns counts, per test, the runs made in this process.
+var seedRuns sync.Map
+
+// drawRNG seeds a random-program test: base on the test's first run —
+// the tier-1 draw, the same on every machine — and another seed on
+// each repeat, so that `go test -count=N` (CI) compares N draws instead
+// of one draw N times. A repeat logs its seed for replay.
+func drawRNG(t *testing.T, base int64) *rand.Rand {
+	n, _ := seedRuns.LoadOrStore(t.Name(), new(int64))
+	run := n.(*int64)
+	seed := base + 1000003**run
+	if *run++; seed != base {
+		t.Logf("draw %d: seed %d", *run, seed)
+	}
+	return rand.New(rand.NewSource(seed))
+}
 
 // randProgram generates a random program exercising every compiled
 // specialisation: merged always-runs, gated tables, direct-indexed and
 // hashed exact tables, value tables and load runs, interval-coded,
 // bitmap (two to four fields, up to several row words) and generic
-// ternary tables, and register read-modify-writes.
+// ternary tables, register read-modify-writes, and gate families:
+// adjacent tables of any of those kinds gated == on one field, with
+// repeating, negative and large constants, a member now and then
+// writing the gate field (its random destinations include it), which
+// must end the run.
 func randProgram(t *testing.T, rng *rand.Rand) (*Program, []FieldID) {
 	t.Helper()
 	var l Layout
@@ -65,7 +87,13 @@ func randProgram(t *testing.T, rng *rand.Rand) (*Program, []FieldID) {
 		}
 		return ops
 	}
+	var family *Gate // set while a gate family is drawn: every table takes it
 	randGate := func() *Gate {
+		if family != nil {
+			g := *family
+			g.Value += int32(rng.Intn(4))
+			return &g
+		}
 		if rng.Intn(3) != 0 {
 			return nil
 		}
@@ -85,9 +113,19 @@ func randProgram(t *testing.T, rng *rand.Rand) (*Program, []FieldID) {
 		stage++
 	}
 
-	for n := 0; n < 6+rng.Intn(6); n++ {
+	var gen func(n, kind int)
+	gen = func(n, kind int) {
 		dataLen := 1 + rng.Intn(3)
-		switch rng.Intn(8) {
+		switch kind {
+		case 8: // gate family: the field brought into the constants' range, then the members
+			g, base := f(), []int32{0, 0, -2, 254, 70000}[rng.Intn(5)]
+			addTable(&Table{Name: nm("famkey", n), Kind: MatchNone, DefaultData: []int32{}, Action: []Op{
+				{Kind: OpAndImm, Dst: g, A: g, Imm: 3}, {Kind: OpAddImm, Dst: g, A: g, Imm: base}}})
+			family = &Gate{Field: g, Op: GateEQ, Value: base}
+			for k := 0; k < 2+rng.Intn(5); k++ {
+				gen(n, []int{0, 0, 1, 3, 4, 6}[rng.Intn(6)])
+			}
+			family = nil
 		case 0: // always-run (merge candidates: often ungated, back to back)
 			addTable(&Table{Name: nm("always", n), Kind: MatchNone,
 				DefaultData: randData(dataLen), Action: randOps(3, dataLen), Gate: randGate()})
@@ -207,6 +245,9 @@ func randProgram(t *testing.T, rng *rand.Rand) (*Program, []FieldID) {
 				Action: randOps(2, dataLen), Gate: randGate()})
 		}
 	}
+	for n := 0; n < 6+rng.Intn(6); n++ {
+		gen(n, rng.Intn(9))
+	}
 	return prog, fields
 }
 
@@ -236,10 +277,21 @@ func nm(base string, n int) string { return base + string(rune('0'+n)) }
 // random packets, full-PHV and register-state bit-identity between
 // Program.Process and CompiledProgram.Process.
 func TestCompiledMatchesInterpreterFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
+	rng := drawRNG(t, 1234)
+	families, bodies := 0, 0
+	defer func() {
+		// Members that write their gate field split families, so most are
+		// short; some must still have held more than two bodies.
+		if families < 5 || bodies <= 2*families {
+			t.Errorf("%d gate families of %d bodies drawn: the family case of randProgram is not merging", families, bodies)
+		}
+	}()
 	for trial := 0; trial < 40; trial++ {
 		prog, fields := randProgram(t, rng)
 		plan := CompileProgram(prog)
+		for _, n := range plan.Shape().Dispatch {
+			families, bodies = families+1, bodies+n
+		}
 		ipv := prog.Layout.NewPHV()
 		cpv := prog.Layout.NewPHV()
 		for pkt := 0; pkt < 50; pkt++ {

@@ -153,10 +153,13 @@ type Engine struct {
 // PerFire units — the stateless tail — only on the packets that raise
 // PacketMeta.Fire, and TailPipes of the chain's later pipes lie wholly
 // inside that tail. Units are plan units (one specialised table, one
-// merged run of always-tables or one load run) on ExecCompiled engines
-// and tables on ExecInterpret engines, which slice nothing: everything
-// is PerPacket. The same holds for engines without ConfigurePackets,
-// where every job is a whole window and runs the whole chain.
+// merged run of always-tables, one load run or one gate family — the
+// tables gated == on one field count as the one dispatch unit they run
+// as, and a family with a stateful member is PerPacket as a whole) on
+// ExecCompiled engines and tables on ExecInterpret engines, which slice
+// nothing: everything is PerPacket. The same holds for engines without
+// ConfigurePackets, where every job is a whole window and runs the
+// whole chain.
 //
 // Counters attached to tables later (ROADMAP 4(a)'s per-table hit
 // counters) inherit the split: in compiled mode a tail table counts
@@ -994,22 +997,27 @@ func (e *Engine) runPacketShard(s int, pkts []PacketIn, idx []int) {
 	phvs := e.phvs[s]
 	sr := &e.shardRes[s]
 	interp := e.mode == ExecInterpret
-	meta := e.meta
+	hash, fields, fireF := e.meta.Hash, e.meta.Fields, e.meta.Fire
+	out, class := e.out, e.class
 	cut, sliced := e.cut, e.split.PerFire > 0
 	rmw0 := phvRMWs(phvs)
 	for _, i := range idx {
-		phv := phvs[0]
-		phv.Reset()
-		phv.Set(meta.Hash, int32(pkts[i].Hash))
-		for d, f := range meta.Fields {
-			phv.Set(f, pkts[i].Fields[d])
+		// The engine's fields, the packet's values and the PHV's vector
+		// are loop constants: hoisted, they are not reloaded through
+		// their headers for every field of every packet.
+		phv, pkt := phvs[0], &pkts[i]
+		vals, in := phv.Vals, pkt.Fields
+		clear(vals)
+		vals[hash] = int32(pkt.Hash)
+		for d, f := range fields {
+			vals[f] = in[d]
 		}
 		if interp {
 			e.progs[0].Process(phv)
 		} else {
 			e.plans[0].processRange(phv, 0, cut)
 		}
-		fire := phv.Get(meta.Fire) != 0
+		fire := vals[fireF] != 0
 		if !fire && sliced {
 			continue
 		}
@@ -1033,10 +1041,11 @@ func (e *Engine) runPacketShard(s int, pkts []PacketIn, idx []int) {
 		if !fire {
 			continue
 		}
+		vals = phv.Vals
 		sr.fireIdx = append(sr.fireIdx, int32(i))
-		sr.fireClass = append(sr.fireClass, phv.Get(e.class))
-		for _, f := range e.out {
-			sr.fireOuts = append(sr.fireOuts, phv.Get(f))
+		sr.fireClass = append(sr.fireClass, vals[class])
+		for _, f := range out {
+			sr.fireOuts = append(sr.fireOuts, vals[f])
 		}
 	}
 	sr.regRMWs.Add(phvRMWs(phvs) - rmw0)
@@ -1063,12 +1072,14 @@ func (e *Engine) runShard(s int, jobs []Job, res []Result, dense []int32, idx []
 	phvs := e.phvs[s]
 	stride := len(e.out) + 1
 	interp := e.mode == ExecInterpret
+	inF, out, class := e.in, e.out, e.class
 	rmw0 := phvRMWs(phvs)
 	for k, i := range idx {
 		phv := phvs[0]
-		phv.Reset()
-		for d, f := range e.in {
-			phv.Set(f, jobs[i].In[d])
+		vals, in := phv.Vals, jobs[i].In // hoisted as in runPacketShard
+		clear(vals)
+		for d, f := range inF {
+			vals[f] = in[d]
 		}
 		if interp {
 			e.progs[0].Process(phv)
@@ -1089,10 +1100,10 @@ func (e *Engine) runShard(s int, jobs []Job, res []Result, dense []int32, idx []
 			}
 			phv = next
 		}
-		rec := dense[k*stride : (k+1)*stride : (k+1)*stride]
-		rec[0] = phv.Get(e.class)
-		for d, f := range e.out {
-			rec[1+d] = phv.Get(f)
+		rec, vals := dense[k*stride:(k+1)*stride:(k+1)*stride], phv.Vals
+		rec[0] = vals[class]
+		for d, f := range out {
+			rec[1+d] = vals[f]
 		}
 	}
 	e.shardRes[s].regRMWs.Add(phvRMWs(phvs) - rmw0)

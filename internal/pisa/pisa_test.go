@@ -389,6 +389,23 @@ func TestValidateCatchesViolations(t *testing.T) {
 		t.Fatalf("want write-conflict error, got %v", err)
 	}
 
+	// A gateway reads its field at stage entry: a table gated on a field
+	// another table of the same stage writes would see the old value on
+	// the switch and the new one in the sequential simulator.
+	gated := func(stage int) error {
+		p := NewProgram("gate-hazard", &l, Tofino2)
+		p.Place(0, &Table{Name: "writer", Kind: MatchNone, DefaultData: []int32{}, Action: []Op{{Kind: OpSet, Dst: k, Imm: 1}}})
+		p.Place(stage, &Table{Name: "reader", Kind: MatchNone, DefaultData: []int32{}, Gate: &Gate{Field: k, Op: GateEQ, Value: 1},
+			Action: []Op{{Kind: OpSet, Dst: o, Imm: 2}}})
+		return p.Validate()
+	}
+	if err := gated(0); err == nil || !strings.Contains(err.Error(), `table "reader" reads k written by "writer" in same stage`) {
+		t.Fatalf("want gate read-after-write error, got %v", err)
+	}
+	if err := gated(1); err != nil {
+		t.Fatalf("gate one stage behind the write rejected: %v", err)
+	}
+
 	// Valid program passes.
 	prog5 := NewProgram("ok", &l, Tofino2)
 	prog5.Place(0, &Table{Name: "t", Kind: MatchExact, KeyFields: []FieldID{k}, KeyWidths: []int{8},

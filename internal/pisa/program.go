@@ -160,7 +160,8 @@ func (p *Program) CompactRegisters(shards int) {
 // Validate checks the program against its capacity: stage count, per-
 // stage SRAM/TCAM, bus width, PHV size, intra-stage write hazards
 // (two tables in one stage writing the same field, or one reading a
-// field another writes — PISA stages execute in parallel), the
+// field another writes, as operand, match key or gateway — PISA stages
+// execute in parallel), the
 // one-read-modify-write-per-register-per-packet rule, and action-data
 // arity (every entry and default carries as many values as its table's
 // action reads).
@@ -213,6 +214,11 @@ func (p *Program) Validate() error {
 			}
 			for _, f := range t.KeyFields {
 				reads[f] = t.Name
+			}
+			// The gateway evaluates at stage entry, before any action of
+			// the stage has written: it is a reader like the key fields.
+			if t.Gate != nil {
+				reads[t.Gate.Field] = t.Name
 			}
 		}
 		for f, wt := range writes {
@@ -327,11 +333,9 @@ func (p *Program) validateRMW() []string {
 		if exclusive {
 			for si := minStage; si < maxStage && exclusive; si++ {
 				for _, t := range p.Stages[si].Tables {
-					for i := range t.Action {
-						if t.Action[i].writesDst() && t.Action[i].Dst == field {
-							exclusive = false
-							break
-						}
+					if writesField(t.Action, field) {
+						exclusive = false
+						break
 					}
 				}
 			}

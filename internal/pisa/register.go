@@ -30,9 +30,11 @@ type Register struct {
 	// (identity) layout.
 	shards int
 	bank   int // Size / shards
-	// Shift/mask fast path when Size and shards are both powers of two
-	// (the emitted shape: flow tables are power-of-two sized).
-	pow2       bool
+	// Shift/mask addressing when Size and shards are both powers of two
+	// (the emitted shape: flow tables are power-of-two sized), which in
+	// the natural layout — mask and shard shift zero — is the identity;
+	// divide is set for the other banked layouts.
+	divide     bool
 	shardMask  int
 	shardShift uint // log2(shards)
 	bankShift  uint // log2(bank)
@@ -64,13 +66,20 @@ func NewRegisterInit(name string, width, size int, init int32) (*Register, error
 // pos maps a logical cell index to its arena position under the
 // current layout.
 func (r *Register) pos(idx int) int {
-	if r.shards <= 1 {
-		return idx
+	if r.divide {
+		return (idx%r.shards)*r.bank + idx/r.shards
 	}
-	if r.pow2 {
-		return (idx&r.shardMask)<<r.bankShift | idx>>r.shardShift
+	return (idx&r.shardMask)<<r.bankShift | idx>>r.shardShift
+}
+
+// cell returns the arena position of logical cell idx, or -1 when idx
+// is out of range — one unsigned compare, negative indices wrapping
+// past every size. The plan's sealed register ops address through it.
+func (r *Register) cell(idx int32) int {
+	if uint32(idx) >= uint32(r.Size) {
+		return -1
 	}
-	return (idx%r.shards)*r.bank + idx/r.shards
+	return r.pos(int(idx))
 }
 
 // Get reads cell idx (0 when out of range, matching hardware OOB reads of
@@ -136,12 +145,8 @@ func (r *Register) rebase(dst []int32, shards int) {
 	}
 	r.vals = dst
 	r.shards, r.bank = shards, bank
-	r.pow2 = shards&(shards-1) == 0 && r.Size&(r.Size-1) == 0
-	if r.pow2 {
-		r.shardMask = shards - 1
-		r.shardShift = uint(log2(shards))
-		r.bankShift = uint(log2(bank))
-	}
+	r.divide = shards > 1 && (shards&(shards-1) != 0 || r.Size&(r.Size-1) != 0)
+	r.shardMask, r.shardShift, r.bankShift = shards-1, uint(log2(shards)), uint(log2(bank))
 }
 
 // log2 returns ⌊log₂ n⌋ for n ≥ 1.

@@ -78,7 +78,7 @@ func randStatefulProgram(t *testing.T, rng *rand.Rand, slots int) (*Program, Pac
 // packet engine at several worker counts, all of which must agree on
 // every fired output and on the final register state.
 func TestStatefulDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := drawRNG(t, 7)
 	for trial := 0; trial < 30; trial++ {
 		slots := 1 << (2 + rng.Intn(3)) // 4..16
 		prog, meta, outs := randStatefulProgram(t, rng, slots)
@@ -153,12 +153,15 @@ type tailIO struct {
 	class          FieldID
 }
 
-// addRandTail appends n random register-free tables that never write
-// fire — always-runs (merge and constant-fold candidates), direct and
-// hashed exact tables, interval and bitmap ternary tables, a third of
-// them gated on the fire flag — and a closing class write. One table
-// per stage keeps the intra-stage hazard check out of the way.
-func addRandTail(rng *rand.Rand, prog *Program, stage int, io tailIO, n int) {
+// addRandTail appends n random register-free tables that write neither
+// fire nor sel — always-runs (merge and constant-fold candidates),
+// direct and hashed exact tables, interval and bitmap ternary tables,
+// half of them gated on the fire flag or == on the selector (adjacent
+// ones of the latter form gate families of every member kind) — and a
+// closing class write. The first lead tables are selector-gated for
+// sure, so that they join a family the caller left open. One table per
+// stage keeps the intra-stage hazard check out of the way.
+func addRandTail(rng *rand.Rand, prog *Program, stage int, io tailIO, n, lead int) {
 	src := func() FieldID { return io.src[rng.Intn(len(io.src))] }
 	dst := func() FieldID { return io.outs[rng.Intn(len(io.outs))] }
 	data := func(n int) []int32 {
@@ -168,12 +171,18 @@ func addRandTail(rng *rand.Rand, prog *Program, stage int, io tailIO, n int) {
 		}
 		return d
 	}
-	gate := func() *Gate {
-		switch rng.Intn(6) {
+	gate := func(t int) *Gate {
+		k := rng.Intn(6)
+		if t < lead {
+			k = 2
+		}
+		switch k {
 		case 0:
 			return &Gate{Field: io.fire, Op: GateNE, Value: 0}
 		case 1:
 			return &Gate{Field: io.fire, Op: GateEQ, Value: 0} // runs on non-fire packets only
+		case 2:
+			return &Gate{Field: io.sel, Op: GateEQ, Value: int32(rng.Intn(3))}
 		}
 		return nil
 	}
@@ -190,8 +199,12 @@ func addRandTail(rng *rand.Rand, prog *Program, stage int, io tailIO, n int) {
 		return nil
 	}
 	for t := 0; t < n; t++ {
-		tbl := &Table{Name: nm("tail", t), Gate: gate()}
-		switch rng.Intn(6) {
+		tbl := &Table{Name: nm("tail", t), Gate: gate(t)}
+		kind := rng.Intn(6)
+		if t < lead {
+			kind = rng.Intn(5) // a load run is ungated
+		}
+		switch kind {
 		case 5: // a load run behind the cut (a gated draw starts a new one)
 			stage = addLoadRun(rng, prog, stage, nm("tailld", t), io.sel, io.outs)
 			continue
@@ -264,11 +277,16 @@ func addLoadRun(rng *rand.Rand, prog *Program, stage int, name string, sel Field
 
 // randSlicedChain builds a random fused packet program in the emitted
 // shape: a stateful prefix — slot derivation, a data-dependent fire
-// write, selector-gated register RMWs, a load run and one RMW gated on
-// fire — and a random stateless tail (load runs among its units), which with two pipes starts in pipe 0 and
-// continues behind a bridge in a register-free second pipe. It returns
-// the chain and the number of plan units the prefix compiles to.
-func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChain, int) {
+// write, selector-gated register RMWs (one gate family, constants
+// repeating from register to register), a load run and one RMW gated
+// on fire — and a random stateless tail (load runs and gate families
+// among its units), which with two pipes starts in pipe 0 and continues
+// behind a bridge in a register-free second pipe. Half the chains end
+// the prefix in a selector-gated RMW that the tail's first tables join:
+// a family straddling the cut, stateful as a whole. It returns the
+// chain, the number of plan units the prefix compiles to and the
+// bodies of the prefix's gate families (the last one at least).
+func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChain, int, []int) {
 	t.Helper()
 	big := Tofino2.Pipes(4)
 	var l Layout
@@ -305,6 +323,7 @@ func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChai
 		}
 		return prog.AddRegister(reg)
 	}
+	families := []int{0}
 	for r := 0; r < 1+rng.Intn(3); r++ {
 		ri := addReg(nm("r", r))
 		for u := 0; u < 1+rng.Intn(3); u++ {
@@ -312,9 +331,13 @@ func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChai
 				Gate:   &Gate{Field: sel, Op: GateEQ, Value: int32(u)},
 				Action: []Op{{Kind: kinds[rng.Intn(len(kinds))], Reg: ri, Dst: st[rng.Intn(len(st))], A: slot, B: val, Imm: int32(rng.Intn(50))}}})
 			stage++
-			units++
+			families[0]++
 		}
 	}
+	if families[0] == 1 {
+		families = nil // a lone gated table stays a plain unit
+	}
+	units++ // the RMWs' gates all compare sel: one unit
 	// A load run ahead of the cut: one more unit every packet runs.
 	stage = addLoadRun(rng, prog, stage, "preld", sel, st[1:3])
 	units++
@@ -330,11 +353,23 @@ func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChai
 		Action: []Op{{Kind: OpRegAdd, Reg: addReg("rn"), Dst: st[0], A: slot, B: sel}}})
 	stage++
 	units++
+	lead := 0
+	if rng.Intn(2) == 0 {
+		// The family straddling the cut: its first member is stateful, the
+		// tail's leading tables join it and run on every packet with it.
+		prog.Place(stage, &Table{Name: "late", Kind: MatchNone, DefaultData: []int32{},
+			Gate:   &Gate{Field: sel, Op: GateEQ, Value: int32(rng.Intn(3))},
+			Action: []Op{{Kind: OpRegAdd, Reg: addReg("rl"), Dst: st[1], A: slot, B: val}}})
+		stage++
+		units++
+		lead = 1 + rng.Intn(2)
+		families = append(families, 1+lead)
+	}
 
 	c := slicedChain{progs: []*Program{prog}, meta: PacketMeta{Hash: hash, Fields: []FieldID{sel, val}, Fire: fire},
 		outs: outs, class: class}
 	io := tailIO{sel: sel, val: val, fire: fire, src: append(append([]FieldID{}, st...), outs...), outs: outs, class: class}
-	addRandTail(rng, prog, stage, io, 2+rng.Intn(5))
+	addRandTail(rng, prog, stage, io, 2+rng.Intn(5), lead)
 	if pipes == 2 {
 		var l2 Layout
 		io2 := tailIO{sel: l2.MustAdd("sel", 8), val: l2.MustAdd("val", 16), fire: l2.MustAdd("fire", 8)}
@@ -350,7 +385,7 @@ func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChai
 		io2.src = append(io2.src, io2.outs...)
 		io2.class = l2.MustAdd("class", 8)
 		p2 := NewProgram("sliced-fuzz-pipe1", &l2, big)
-		addRandTail(rng, p2, 0, io2, 2+rng.Intn(5))
+		addRandTail(rng, p2, 0, io2, 2+rng.Intn(5), 0)
 		c.progs, c.bridges = append(c.progs, p2), []Bridge{br}
 		c.outs, c.class = io2.outs, io2.class
 	}
@@ -359,7 +394,7 @@ func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChai
 			t.Fatalf("random sliced chain invalid: %v", err)
 		}
 	}
-	return c, units
+	return c, units, families
 }
 
 // firesAndState is everything a packet replay leaves behind.
@@ -368,6 +403,7 @@ type firesAndState struct {
 	rmws  uint64
 	regs  [][][]int32 // [pipe][register][cell]
 	split PlanSplit
+	shape PlanShape
 }
 
 // replayChain runs pkts from a clean flow table through a fresh engine
@@ -382,7 +418,7 @@ func replayChain(c slicedChain, pkts []PacketIn, workers int, mode ExecMode) fir
 		r.Outs = append([]int32(nil), r.Outs...)
 		got.fires = append(got.fires, r)
 	}
-	got.rmws, got.split = e.Stats().RegRMWs, e.PlanSplit()
+	got.rmws, got.split, got.shape = e.Stats().RegRMWs, e.PlanSplit(), e.PlanShape()
 	for _, p := range c.progs {
 		got.regs = append(got.regs, snapshotRegs(p))
 	}
@@ -392,8 +428,8 @@ func replayChain(c slicedChain, pkts []PacketIn, workers int, mode ExecMode) fir
 // checkSliced replays pkts through compiled engines at 1 and 4 shards
 // and requires fires, classes, output vectors, RegRMWs and every final
 // register cell to equal a 1-shard interpreter engine's, which runs
-// every table on every packet. It returns the compiled split.
-func checkSliced(t *testing.T, tag string, c slicedChain, pkts []PacketIn) PlanSplit {
+// every table on every packet. It returns the compiled split and shape.
+func checkSliced(t *testing.T, tag string, c slicedChain, pkts []PacketIn) (PlanSplit, PlanShape) {
 	t.Helper()
 	want := replayChain(c, pkts, 1, ExecInterpret)
 	if want.split.PerFire != 0 || want.split.TailPipes != 0 {
@@ -403,9 +439,10 @@ func checkSliced(t *testing.T, tag string, c slicedChain, pkts []PacketIn) PlanS
 		t.Fatalf("%s: %d of %d packets fired; the trace must mix both", tag, len(want.fires), len(pkts))
 	}
 	var split PlanSplit
+	var shape PlanShape
 	for _, workers := range []int{1, 4} {
 		got := replayChain(c, pkts, workers, ExecCompiled)
-		split = got.split
+		split, shape = got.split, got.shape
 		if len(got.fires) != len(want.fires) {
 			t.Fatalf("%s [w%d]: %d fires, want %d", tag, workers, len(got.fires), len(want.fires))
 		}
@@ -433,7 +470,7 @@ func checkSliced(t *testing.T, tag string, c slicedChain, pkts []PacketIn) PlanS
 			}
 		}
 	}
-	return split
+	return split, shape
 }
 
 func randSlicedPackets(rng *rand.Rand, n int) []PacketIn {
@@ -449,17 +486,24 @@ func randSlicedPackets(rng *rand.Rand, n int) []PacketIn {
 // run the tail on fired packets only, must be indistinguishable from
 // the interpreter running everything — and the cut must sit exactly
 // behind the prefix's last register op, so the tail is never empty and
-// never swallows a stateful unit.
+// never swallows a stateful unit. The prefix's gate families must have
+// merged as built (a family counts as one unit), the one straddling
+// the cut with the tail tables that joined it.
 func TestFireSlicedDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
+	rng := drawRNG(t, 29)
 	for trial := 0; trial < 40; trial++ {
 		slots := 1 << (2 + rng.Intn(3)) // 4..16
 		pipes := 1 + trial%2
-		c, prefix := randSlicedChain(t, rng, slots, pipes)
-		split := checkSliced(t, fmt.Sprintf("trial %d", trial), c, randSlicedPackets(rng, 200+rng.Intn(200)))
+		c, prefix, families := randSlicedChain(t, rng, slots, pipes)
+		split, shape := checkSliced(t, fmt.Sprintf("trial %d", trial), c, randSlicedPackets(rng, 200+rng.Intn(200)))
 		if split.PerPacket != prefix || split.PerFire == 0 || split.TailPipes != pipes-1 {
 			t.Fatalf("trial %d: split %v, want %d units per packet, a non-empty tail and %d tail pipes",
 				trial, split, prefix, pipes-1)
+		}
+		for i, n := range families {
+			if last := i == len(families)-1; len(shape.Dispatch) <= i || shape.Dispatch[i] < n || !last && shape.Dispatch[i] != n {
+				t.Fatalf("trial %d: dispatch units %v, want the prefix's families %v (the last may have grown in the tail)", trial, shape.Dispatch, families)
+			}
 		}
 	}
 }
@@ -477,13 +521,13 @@ func TestFireSlicedEmptyTail(t *testing.T) {
 	}
 	wantEmpty := func(tag string, c slicedChain) {
 		t.Helper()
-		if split := checkSliced(t, tag, c, pkts); split.PerFire != 0 || split.TailPipes != 0 {
+		if split, _ := checkSliced(t, tag, c, pkts); split.PerFire != 0 || split.TailPipes != 0 {
 			t.Fatalf("%s: split %v, want an empty tail", tag, split)
 		}
 	}
 
 	// A register op behind the whole tail (say, banking the verdict).
-	c, _ := randSlicedChain(t, rng, 8, 1)
+	c, _, _ := randSlicedChain(t, rng, 8, 1)
 	p, stage := last(c)
 	verdict, err := NewRegister("verdict", 8, 8)
 	if err != nil {
@@ -495,14 +539,14 @@ func TestFireSlicedEmptyTail(t *testing.T) {
 	wantEmpty("register op in the last table", c)
 
 	// A late table that lowers the fire flag for one selector in three.
-	c, _ = randSlicedChain(t, rng, 8, 1)
+	c, _, _ = randSlicedChain(t, rng, 8, 1)
 	p, stage = last(c)
 	p.Place(stage, &Table{Name: "veto", Kind: MatchNone, DefaultData: []int32{},
 		Action: []Op{{Kind: OpSelEQI, Dst: c.meta.Fire, A: c.meta.Fields[0], B: p.Layout.MustAdd("never", 8), Imm: 0}}})
 	wantEmpty("late fire write", c)
 
 	// A second pipe that counts packets per slot in its own register.
-	c, _ = randSlicedChain(t, rng, 8, 2)
+	c, _, _ = randSlicedChain(t, rng, 8, 2)
 	p, stage = last(c)
 	seen, err := NewRegister("seen", 32, 8)
 	if err != nil {

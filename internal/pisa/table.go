@@ -104,6 +104,29 @@ func (op *Op) regAccess() int {
 // the only op without a PHV destination).
 func (op *Op) writesDst() bool { return op.Kind != OpRegStore }
 
+// writesField reports whether any op of the action writes f. A gate
+// field no gated action writes keeps one value across those tables —
+// what makes equality gates on it exclusive (validateRMW) and lets the
+// plan evaluate them once (a dispatch unit).
+func writesField(ops []Op, f FieldID) bool {
+	for i := range ops {
+		if ops[i].writesDst() && ops[i].Dst == f {
+			return true
+		}
+	}
+	return false
+}
+
+// regOps counts the ops of the action that access a register.
+func regOps(ops []Op) (n uint64) {
+	for i := range ops {
+		if ops[i].regAccess() >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Entry is one table entry. For exact matching Mask must be nil and Key
 // compared verbatim; for ternary matching Mask selects the cared bits.
 // Data is the entry's action data (fetched over the action data bus).
