@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/pegasus-idp/pegasus/internal/core"
@@ -394,10 +395,14 @@ func TestPacketPathZeroAllocs(t *testing.T) {
 	// What every packet pays, read off the system: the prelude, the two
 	// bucket searches (256 length and 206 IPD values, each finished in
 	// two compares) and one dispatch over the window position — seven
-	// banks and the fire unit.
+	// banks and the fire unit. And what every fire pays for its four combo
+	// tables: a bit per clustering-tree leaf, not per range-coded entry.
 	split, sh := eng.PlanSplit(), eng.PlanShape()
 	if split.PerPacket != 4 || split.PerFire != 10 || fmt.Sprint(sh.Dispatch, sh.Interval, sh.Searched) != "[8] [256 206] 0" {
 		t.Fatalf("CNN-M packet plan: %v; %v; want 4 units per packet, 10 per fire, one dispatch of 8 bodies, intervals 256+206 cell-indexed", split, sh)
+	}
+	if want := "4 bitmap (2+2+2+2 words/row, 3497 rules -> 379 groups)"; !strings.Contains(sh.String(), want) {
+		t.Fatalf("CNN-M packet plan: %v; want %s", sh, want)
 	}
 	eng.ResetState()
 	eng.RunPackets(jobs) // warm the reusable buffers

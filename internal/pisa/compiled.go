@@ -33,18 +33,13 @@ import (
 //     behind a cell index (cellIndex: two compares, no search),
 //     resolved to values as well when the action only loads data.
 //   - Multi-field ternary tables with per-field prefix masks (the
-//     two-level combo tables) become per-dimension rule bitsets: each
-//     dimension resolves its key to the row of rules it satisfies (a
-//     wide one through a cell index) and the intersection's lowest set
-//     bit is the first matching rule.
-//     Every row leads with summary words — bit w set iff row word w is
-//     non-zero — so the lookup intersects the summaries and probes only
-//     the candidate words, in ascending order, instead of every word
-//     up to the hit. First-match priority survives: a word absent from
-//     the summaries' intersection is zero in some dimension and cannot
-//     hold a match, so the first non-zero probed word is the first
-//     non-zero word of the full intersection; a candidate whose words
-//     share no rule (a false candidate) just falls through to the next.
+//     two-level combo tables) become per-dimension bitsets with one
+//     bit per cover group — a run of consecutive rules of equal action
+//     data that is exactly the cross product of its per-field prefix
+//     covers, which is what range coding makes of a clustering-tree
+//     leaf, or else a single rule. Each dimension resolves its key to
+//     the row of groups it satisfies (a wide one through a cell index)
+//     and the intersection's lowest set bit is the first matching group.
 //   - Everything else falls back to a generic scan with precomputed
 //     width masks.
 //   - Adjacent units gated == on one field that none of them writes — a
@@ -106,7 +101,7 @@ const (
 	execDirect                      // dense array over the masked key domain
 	execHash                        // open-addressed hash on the packed key
 	execInterval                    // cell-indexed search over sorted key intervals
-	execBitmap                      // per-dimension rule-bitset intersection
+	execBitmap                      // per-dimension group-bitset intersection
 	execScanExact                   // generic exact linear scan
 	execScanTernary                 // generic ternary linear scan
 	execDispatch                    // gate family: case table over the gate field's value
@@ -149,10 +144,11 @@ type execUnit struct {
 	// own gate; action is their concatenation.
 	cases []execUnit
 
-	dims     []bitmapDim // execBitmap: per-key-field row index
-	rows     []uint64    // execBitmap: every dimension's rows
-	bsWords  int         // execBitmap: rule-bitset words per row
-	sumWords int         // execBitmap: summary words leading each row
+	dims    []bitmapDim // execBitmap: per-key-field row index
+	rows    []uint64    // execBitmap: every dimension's rows
+	bsWords int         // execBitmap: group-bitset words per row
+	rules   int         // execBitmap: reachable rules lowered into ...
+	groups  int         // ... this many cover groups, the hit slots
 
 	entries []Entry // scan fallbacks: keys and masks; slot = entry index
 }
@@ -167,10 +163,10 @@ type load struct {
 
 // bitmapDim is one key field of an execBitmap unit: the mapping from a
 // masked key value to that dimension's row of the unit's rows array,
-// which holds a bit for every rule the dimension satisfies. Narrow
+// which holds a bit for every group the dimension satisfies. Narrow
 // dimensions index rows by key value directly (no index); wide
 // dimensions search ix for the elementary interval, whose index is the
-// row. Row r starts at base + r*(sumWords+bsWords).
+// row. Row r starts at base + r*bsWords.
 type bitmapDim struct {
 	base int
 	ix   *cellIndex // the elementary interval starts; nil for dense dimensions
@@ -193,8 +189,8 @@ func (dim *bitmapDim) off(k uint32, rw int) int {
 const directMaxBits = 16
 
 // denseRangeBits bounds the key width a ternary dimension materialises
-// densely (per-value slot or bitset-row arrays); wider dimensions fall
-// back to interval binary search.
+// densely (per-value slot or bitset-row arrays); wider dimensions
+// resolve their interval through a cell index.
 const denseRangeBits = 12
 
 // valueTableCells bounds keys × destinations of a value table: the same
@@ -490,57 +486,97 @@ type span struct {
 // specializeTernary converts prefix-mask tables — the shape consecutive
 // range coding emits — into interval structures, folding
 // first-match-wins priority into the construction. Single-field tables
-// become a dense per-value slot array (narrow keys) or a sorted-
-// interval binary search (wide keys); multi-field tables become
-// per-dimension rule bitsets whose intersection's lowest set bit is
-// the winning rule. Anything else keeps the generic masked scan.
+// become a dense per-value slot array (narrow keys) or cell-indexed
+// sorted intervals (wide keys); multi-field tables become
+// per-dimension group bitsets whose intersection's lowest set bit is
+// the winning cover group. Anything else keeps the generic masked scan.
 func (cp *CompiledProgram) specializeTernary(t *Table, u *execUnit) {
 	if len(t.KeyFields) > maxBitmapDims || !prefixEntries(t.Entries, u.keyMasks) {
 		u.scan(execScanTernary, t.Entries)
 		return
 	}
-	// Reachable rules, in priority order (rule index = slot), with their
-	// per-dimension intervals. A rule whose value has bits outside its
+	// Reachable rules in priority order, rules[d][i] being rule i's
+	// interval in dimension d. A rule whose value has bits outside its
 	// (width-clipped) mask can never hit: lookup keys are width-masked.
-	nd := len(t.KeyFields)
-	var rules [][]span
+	rules, data := make([][]span, len(t.KeyFields)), make([][]int32, 0, len(t.Entries))
+	for d := range rules {
+		rules[d] = make([]span, 0, len(t.Entries))
+	}
+reach:
 	for ei := range t.Entries {
 		e := &t.Entries[ei]
-		rule := make([]span, nd)
-		ok := true
-		for d := 0; d < nd; d++ {
-			wm := uint64(u.keyMasks[d])
-			m := uint64(e.Mask[d]) & wm
-			if uint64(e.Key[d])&^m != 0 {
-				ok = false
-				break
+		for d, wm := range u.keyMasks {
+			if e.Key[d]&^(e.Mask[d]&wm) != 0 {
+				continue reach
 			}
-			rule[d] = span{lo: uint64(e.Key[d]), hi: uint64(e.Key[d]) | (wm &^ m)}
 		}
-		if !ok {
-			continue
+		for d, wm := range u.keyMasks {
+			rules[d] = append(rules[d], span{lo: uint64(e.Key[d]), hi: uint64(e.Key[d] | wm&^e.Mask[d])})
 		}
-		u.slot(e.Data)
-		rules = append(rules, rule)
+		data = append(data, e.Data[:u.stride])
 	}
-	if nd == 1 {
-		cp.buildInterval(t, u, rules)
+	if len(rules) == 1 {
+		for _, row := range data {
+			u.slot(row) // slot = rule index
+		}
+		cp.buildInterval(t, u, rules[0])
 		return
 	}
-	cp.buildBitmap(t, u, rules)
+	// Cover groups, group[i] being rule i's slot: a maximal run of
+	// consecutive rules of equal data that is a cross product shares one,
+	// any other run takes one per rule. No rule of other data lies inside a
+	// run, so priority between groups is the table's own order.
+	group := make([]int, len(data))
+	for a, b := 0, 0; a < len(data); a = b {
+		for b = a + 1; b < len(data) && slices.Equal(data[b], data[a]); b++ {
+		}
+		product := b-a == 1 || crossProduct(rules, a, b)
+		for i := a; i < b; i++ {
+			if i == a || !product {
+				u.slot(data[i])
+			}
+			group[i] = int(u.slots) - 1
+		}
+	}
+	cp.buildBitmap(t, u, rules, group)
+}
+
+// crossProduct reports whether the boxes of rules [a, b) are pairwise
+// distinct and exactly the cross product of the distinct spans they use
+// in each dimension. A box is numbered by its spans' ranks, mixed radix:
+// with the radix product kept to at most b-a, the numbers are pairwise
+// distinct exactly then.
+func crossProduct(rules [][]span, a, b int) bool {
+	box, packed, radix := make([]int, b-a), make([]uint64, b-a), 1
+	for _, spans := range rules {
+		for i, sp := range spans[a:b] {
+			packed[i] = sp.lo<<32 | sp.hi
+		}
+		slices.Sort(packed)
+		distinct := slices.Compact(packed)
+		for i, sp := range spans[a:b] {
+			rank, _ := slices.BinarySearch(distinct, sp.lo<<32|sp.hi)
+			box[i] += rank * radix
+		}
+		if radix *= len(distinct); radix > b-a {
+			return false
+		}
+	}
+	slices.Sort(box)
+	return len(slices.Compact(box)) == b-a
 }
 
 // elementaryLows returns the sorted, deduplicated starts of the
-// elementary intervals induced by dimension d of the rule set: 0,
+// elementary intervals induced by one dimension of the rule set: 0,
 // every rule start, and every position just past a rule end, clipped
 // to the key domain wm. No rule boundary falls strictly inside an
 // elementary interval, so rule coverage is constant across each.
-func elementaryLows(rules [][]span, d int, wm uint64) []uint64 {
+func elementaryLows(rules []span, wm uint64) []uint64 {
 	bounds := []uint64{0}
 	for _, r := range rules {
-		bounds = append(bounds, r[d].lo)
-		if r[d].hi < wm {
-			bounds = append(bounds, r[d].hi+1)
+		bounds = append(bounds, r.lo)
+		if r.hi < wm {
+			bounds = append(bounds, r.hi+1)
 		}
 	}
 	slices.Sort(bounds)
@@ -641,7 +677,7 @@ func newCellIndex(lows []uint64, km uint32) cellIndex {
 // spends several rules per value) but never a miss that leaves the PHV
 // untouched with an interval that runs the action; narrow domains
 // expand into an execDirect dense array.
-func (cp *CompiledProgram) buildInterval(t *Table, u *execUnit, rules [][]span) {
+func (cp *CompiledProgram) buildInterval(t *Table, u *execUnit, rules []span) {
 	wm := uint64(u.keyMasks[0])
 	row := func(s int32) []int32 {
 		if s < 0 {
@@ -650,11 +686,11 @@ func (cp *CompiledProgram) buildInterval(t *Table, u *execUnit, rules [][]span) 
 		return u.flat[int(s)*u.stride : int(s+1)*u.stride]
 	}
 	var lows []uint64
-	for _, b := range elementaryLows(rules, 0, wm) {
+	for _, b := range elementaryLows(rules, wm) {
 		// First rule covering b wins, as in the entry scan.
 		slot := int32(-1)
 		for ri, r := range rules {
-			if r[0].lo <= b && b <= r[0].hi {
+			if r.lo <= b && b <= r.hi {
 				slot = int32(ri)
 				break
 			}
@@ -686,22 +722,22 @@ func (cp *CompiledProgram) buildInterval(t *Table, u *execUnit, rules [][]span) 
 	u.islot = nil
 }
 
-// buildBitmap lowers a multi-field rule set into one row-indexed rule
+// buildBitmap lowers a multi-field rule set into one row-indexed group
 // bitset per dimension: row r of dimension d holds a bit for every
-// rule whose dth interval contains the keys mapping to that row, behind
-// sumWords summary words whose bit w is set iff the row's word w is
-// non-zero. The lookup intersects one row per dimension; the lowest set
-// bit of the intersection is the first (highest-priority) matching rule.
-func (cp *CompiledProgram) buildBitmap(t *Table, u *execUnit, rules [][]span) {
-	if len(rules) == 0 {
+// group one of whose rules' dth interval contains the keys mapping to
+// that row — the union of the group's spans, which with the other
+// dimensions' unions is exactly the cross product the group stands for.
+// The lookup intersects one row per dimension; the lowest set bit of the
+// intersection is the first (highest-priority) matching group.
+func (cp *CompiledProgram) buildBitmap(t *Table, u *execUnit, rules [][]span, group []int) {
+	if len(group) == 0 {
 		u.kind = execScanTernary // always a miss; scan of zero entries
 		return
 	}
-	u.kind = execBitmap
-	u.bsWords = (len(rules) + 63) / 64
-	u.sumWords = (u.bsWords + 63) / 64
-	rw := u.sumWords + u.bsWords
-	u.dims = make([]bitmapDim, len(t.KeyFields))
+	u.kind, u.rules, u.groups = execBitmap, len(group), int(u.slots)
+	u.bsWords = (u.groups + 63) / 64
+	rw := u.bsWords
+	u.dims = make([]bitmapDim, len(rules))
 	for d := range u.dims {
 		dim := &u.dims[d]
 		dim.base = len(u.rows)
@@ -711,29 +747,21 @@ func (cp *CompiledProgram) buildBitmap(t *Table, u *execUnit, rules [][]span) {
 		if t.KeyWidths[d] > denseRangeBits {
 			// Wide dimension: one row per elementary interval, resolved
 			// through the cell index at lookup time.
-			lows = elementaryLows(rules, d, wm)
+			lows = elementaryLows(rules[d], wm)
 			ix := newCellIndex(lows, u.keyMasks[d])
 			dim.ix, nrows = &ix, len(lows)
 		}
 		u.rows = append(u.rows, make([]uint64, nrows*rw)...)
-		for ri, rule := range rules {
+		for ri, rule := range rules[d] {
 			// No rule boundary falls inside a row, so the rule covers
 			// exactly the rows from its interval's first key to its last.
-			lo, hi := int(rule[d].lo), int(rule[d].hi)
+			lo, hi := int(rule.lo), int(rule.hi)
 			if lows != nil {
 				lo, hi = intervalRow(lows, uint32(lo)), intervalRow(lows, uint32(hi))
 			}
-			word, bit := dim.base+u.sumWords+ri/64, uint64(1)<<uint(ri%64)
+			word, bit := dim.base+group[ri]/64, uint64(1)<<uint(group[ri]%64)
 			for row := lo; row <= hi; row++ {
 				u.rows[word+row*rw] |= bit
-			}
-		}
-		for row := 0; row < nrows; row++ {
-			r := u.rows[dim.base+row*rw:][:rw]
-			for w, x := range r[u.sumWords:] {
-				if x != 0 {
-					r[w/64] |= 1 << uint(w%64)
-				}
 			}
 		}
 	}
@@ -1068,7 +1096,7 @@ func (cp *CompiledProgram) lowerUnit(u *execUnit) func(*PHV) {
 		}
 		return func(p *PHV) { h.apply(p, int(islot[ix.row(uint32(p.Vals[kf])&km)])) }
 	case execBitmap:
-		dims, rows, nsum, rw := u.dims, u.rows, u.sumWords, u.sumWords+u.bsWords
+		dims, rows, rw := u.dims, u.rows, u.bsWords
 		if len(dims) == 4 {
 			// The same search with the four row offsets in registers.
 			return func(p *PHV) {
@@ -1077,13 +1105,10 @@ func (cp *CompiledProgram) lowerUnit(u *execUnit) func(*PHV) {
 				o1 := dims[1].off(uint32(v[kfs[1]])&kms[1], rw)
 				o2 := dims[2].off(uint32(v[kfs[2]])&kms[2], rw)
 				o3 := dims[3].off(uint32(v[kfs[3]])&kms[3], rw)
-				for sw := 0; sw < nsum; sw++ {
-					for x := rows[o0+sw] & rows[o1+sw] & rows[o2+sw] & rows[o3+sw]; x != 0; x &= x - 1 {
-						w := sw*64 + bits.TrailingZeros64(x)
-						if y := rows[o0+nsum+w] & rows[o1+nsum+w] & rows[o2+nsum+w] & rows[o3+nsum+w]; y != 0 {
-							h.apply(p, w*64+bits.TrailingZeros64(y))
-							return
-						}
+				for w := 0; w < rw; w++ {
+					if y := rows[o0+w] & rows[o1+w] & rows[o2+w] & rows[o3+w]; y != 0 {
+						h.apply(p, w*64+bits.TrailingZeros64(y))
+						return
 					}
 				}
 				h.apply(p, miss)
@@ -1094,22 +1119,16 @@ func (cp *CompiledProgram) lowerUnit(u *execUnit) func(*PHV) {
 			for d := range dims {
 				off[d] = dims[d].off(uint32(p.Vals[kfs[d]])&kms[d], rw)
 			}
-			and := func(w int) uint64 {
-				x := rows[off[0]+w]
+			// The lowest set bit of the first non-zero intersection is the
+			// first matching group.
+			for w := 0; w < rw; w++ {
+				y := rows[off[0]+w]
 				for d := 1; d < len(dims); d++ {
-					x &= rows[off[d]+w]
+					y &= rows[off[d]+w]
 				}
-				return x
-			}
-			// Candidate words in ascending order; the lowest set bit of
-			// the first non-zero intersection is the first matching rule.
-			for sw := 0; sw < nsum; sw++ {
-				for x := and(sw); x != 0; x &= x - 1 {
-					w := sw*64 + bits.TrailingZeros64(x)
-					if y := and(nsum + w); y != 0 {
-						h.apply(p, w*64+bits.TrailingZeros64(y))
-						return
-					}
+				if y != 0 {
+					h.apply(p, w*64+bits.TrailingZeros64(y))
+					return
 				}
 			}
 			h.apply(p, miss)

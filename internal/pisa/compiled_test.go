@@ -3,6 +3,7 @@ package pisa
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,8 +29,10 @@ func drawRNG(t *testing.T, base int64) *rand.Rand {
 // randProgram generates a random program exercising every compiled
 // specialisation: merged always-runs, gated tables, direct-indexed and
 // hashed exact tables, value tables and load runs, interval-coded,
-// bitmap (two to four fields, up to several row words) and generic
-// ternary tables, register read-modify-writes, and gate families:
+// bitmap (two to four fields; data from a small alphabet and the
+// equal-data runs of coverRuns, so that cover groups form, fail to form
+// and land past the first row word) and generic ternary tables,
+// register read-modify-writes, and gate families:
 // adjacent tables of any of those kinds gated == on one field, with
 // repeating, negative and large constants, a member now and then
 // writing the gate field (its random destinations include it), which
@@ -168,22 +171,23 @@ func randProgram(t *testing.T, rng *rand.Rand) (*Program, []FieldID) {
 				KeyFields: []FieldID{f()}, KeyWidths: []int{w}, Entries: entries,
 				Action: randOps(2, dataLen), DefaultData: def, Gate: randGate()})
 		case 4: // multi-field ternary -> bitmap (prefix masks) or generic scan
-			prefix := rng.Intn(2) == 0
 			// One narrow and one wide dimension, so the bitmap path
-			// exercises both dense rows and interval binary search.
+			// exercises both dense rows and cell-indexed ones.
 			w0, w1 := 8, 10+rng.Intn(6)
-			entries := make([]Entry, 1+rng.Intn(10))
-			for i := range entries {
-				var m0, m1 uint32
-				if prefix {
-					m0 = widthMask(w0) &^ widthMask(w0-rng.Intn(w0+1))
-					m1 = widthMask(w1) &^ widthMask(w1-rng.Intn(w1+1))
-				} else {
-					m0, m1 = rng.Uint32()&widthMask(w0), rng.Uint32()&widthMask(w1)
+			alphabet := [][]int32{randData(dataLen), randData(dataLen), randData(dataLen)}
+			var entries []Entry
+			if rng.Intn(2) == 0 {
+				for rules := 1 + rng.Intn(10); len(entries) < rules; {
+					entries = coverRuns(rng, []int{w0, w1}, alphabet, entries)
 				}
-				entries[i] = Entry{
-					Key:  []uint32{rng.Uint32() & m0, rng.Uint32() & m1},
-					Mask: []uint32{m0, m1}, Data: randData(dataLen)}
+			} else {
+				entries = make([]Entry, 1+rng.Intn(10))
+				for i := range entries {
+					m0, m1 := rng.Uint32()&widthMask(w0), rng.Uint32()&widthMask(w1)
+					entries[i] = Entry{
+						Key:  []uint32{rng.Uint32() & m0, rng.Uint32() & m1},
+						Mask: []uint32{m0, m1}, Data: alphabet[rng.Intn(len(alphabet))]}
+				}
 			}
 			addTable(&Table{Name: nm("multi", n), Kind: MatchTernary,
 				KeyFields: []FieldID{f(), f()}, KeyWidths: []int{w0, w1}, Entries: entries,
@@ -222,10 +226,15 @@ func randProgram(t *testing.T, rng *rand.Rand) (*Program, []FieldID) {
 				tbl.KeyFields = append(tbl.KeyFields, f())
 				tbl.KeyWidths = append(tbl.KeyWidths, []int{4, 6, 13, 16}[rng.Intn(4)])
 			}
-			for r := 0; r < 40+rng.Intn(200); r++ {
-				// A first row word of narrow rules, so that hits land in
-				// later words too.
-				tbl.Entries = append(tbl.Entries, randPrefixEntry(rng, tbl.KeyWidths, r < 64, randData(dataLen)))
+			alphabet := [][]int32{randData(dataLen), randData(dataLen), randData(dataLen), randData(dataLen)}
+			for rules := 40 + rng.Intn(200); len(tbl.Entries) < rules; {
+				// A first row word of narrow rules of alternating data — 64
+				// groups that rarely hit — so that hits land in later words too.
+				if r := len(tbl.Entries); r < 64 {
+					tbl.Entries = append(tbl.Entries, randPrefixEntry(rng, tbl.KeyWidths, true, alphabet[r%2]))
+				} else {
+					tbl.Entries = coverRuns(rng, tbl.KeyWidths, alphabet, tbl.Entries)
+				}
 			}
 			if rng.Intn(2) == 0 {
 				tbl.DefaultData = randData(dataLen)
@@ -268,6 +277,58 @@ func randPrefixEntry(rng *rand.Rand, widths []int, narrow bool, data []int32) En
 	return e
 }
 
+// coverRuns appends the next rules of a prefix-ternary table over
+// fields of the given widths, data from the alphabet: a lone random
+// rule, or an equal-data run (of other data than the rule before it)
+// built on the cross product of one to three prefixes per field,
+// shuffled — (a) the product itself, which must lower to one cover
+// group, (b) less one box, (c) with one box twice, (d) cut in two by a
+// broad rule of other data, which must keep its priority over the second
+// part. (b) and (c) are no cross products and must stay one group per
+// rule; so must an (a) whose short prefixes happened to coincide or whose
+// successor drew its data.
+func coverRuns(rng *rand.Rand, widths []int, alphabet [][]int32, entries []Entry) []Entry {
+	pick, kind := rng.Intn(len(alphabet)), rng.Intn(6)
+	if kind > 3 {
+		return append(entries, randPrefixEntry(rng, widths, false, alphabet[pick]))
+	}
+	if n := len(entries); n > 0 && slices.Equal(entries[n-1].Data, alphabet[pick]) {
+		pick = (pick + 1) % len(alphabet)
+	}
+	data := alphabet[pick]
+	// prefix is a key and mask of plen bits whose top two bits are top.
+	prefix := func(w, plen int, top uint32) (key, mask uint32) {
+		mask = widthMask(w) &^ widthMask(w-plen)
+		return (top<<(w-2) | rng.Uint32()&widthMask(w-2)) & mask, mask
+	}
+	run := []Entry{{Data: data}}
+	for _, w := range widths {
+		var next []Entry
+		for n, top := 1+rng.Intn(3), rng.Uint32(); n > 0; n-- {
+			key, mask := prefix(w, 1+rng.Intn(min(w, 5)), (top+uint32(n))&3)
+			for _, e := range run {
+				next = append(next, Entry{Key: append(slices.Clone(e.Key), key), Mask: append(slices.Clone(e.Mask), mask), Data: data})
+			}
+		}
+		run = next
+	}
+	rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+	switch kind {
+	case 1:
+		run = run[1:]
+	case 2:
+		run = append(run, run[rng.Intn(len(run))])
+	case 3:
+		split := Entry{Data: alphabet[(pick+1)%len(alphabet)]}
+		for _, w := range widths {
+			key, mask := prefix(w, rng.Intn(3), rng.Uint32()&3)
+			split.Key, split.Mask = append(split.Key, key), append(split.Mask, mask)
+		}
+		run = slices.Insert(run, rng.Intn(len(run)+1), split)
+	}
+	return append(entries, run...)
+}
+
 func fieldName(i int) string { return string(rune('a' + i)) }
 
 func nm(base string, n int) string { return base + string(rune('0'+n)) }
@@ -278,19 +339,31 @@ func nm(base string, n int) string { return base + string(rune('0'+n)) }
 // Program.Process and CompiledProgram.Process.
 func TestCompiledMatchesInterpreterFuzz(t *testing.T) {
 	rng := drawRNG(t, 1234)
-	families, bodies := 0, 0
+	families, bodies, rules, groups, deep := 0, 0, 0, 0, 0
 	defer func() {
 		// Members that write their gate field split families, so most are
 		// short; some must still have held more than two bodies.
 		if families < 5 || bodies <= 2*families {
 			t.Errorf("%d gate families of %d bodies drawn: the family case of randProgram is not merging", families, bodies)
 		}
+		// Cover groups must have formed (128 rules merged away on the
+		// leanest of 40 draws), and bitmap units past one row word of them.
+		if rules-groups < 40 || deep == 0 {
+			t.Errorf("%d rules in %d cover groups, %d bitmap units past one row word: coverRuns is not reaching the grouping", rules, groups, deep)
+		}
 	}()
 	for trial := 0; trial < 40; trial++ {
 		prog, fields := randProgram(t, rng)
 		plan := CompileProgram(prog)
-		for _, n := range plan.Shape().Dispatch {
+		sh := plan.Shape()
+		for _, n := range sh.Dispatch {
 			families, bodies = families+1, bodies+n
+		}
+		rules, groups = rules+sh.Rules, groups+sh.Groups
+		for _, w := range sh.Bitmaps {
+			if w > 1 {
+				deep++
+			}
 		}
 		ipv := prog.Layout.NewPHV()
 		cpv := prog.Layout.NewPHV()
@@ -529,13 +602,141 @@ func bitmapCase(rng *rand.Rand, widths []int, rules int, def []int32) (*Program,
 	return prog, keys, probes
 }
 
-// TestCompiledBitmapSummaries drives the summary-indexed bitmap lookup
-// over rule sets of one to several row words and summary words, three
-// and four key fields, dense and interval-searched dimensions, with and
-// without default data: every rule is probed inside its own box, so
-// hits land in every row word and first-match priority is checked
-// against the overlapping rules ahead of it.
-func TestCompiledBitmapSummaries(t *testing.T) {
+// pre is a prefix of a key field: its top len bits are val.
+type pre struct {
+	val uint32
+	len int
+}
+
+// coverRule is one hand-built rule over two key fields.
+type coverRule struct {
+	p0, p1 pre
+	data   int32
+}
+
+// ruleRun is a run of consecutive equal-data rules and whether it must
+// lower to one cover group (otherwise: one group per rule).
+type ruleRun struct {
+	rules []coverRule
+	one   bool
+}
+
+// TestCompiledCoverGroups pins which equal-data runs of a multi-field
+// ternary table lower to one cover group and that the lowering is exact
+// either way: hand-built tables probed over their whole key domain
+// against the interpreter, with and without default data, over two dense
+// dimensions, a dense and a cell-indexed one, and four dimensions (every
+// rule crossed with both halves of two one-bit fields, which keeps a
+// product a product and anything else not one). Rules and groups are read
+// off PlanShape. Random rule sets of distinct data, where no group forms,
+// then cover rows of many words.
+func TestCompiledCoverGroups(t *testing.T) {
+	A, B, C, D, all := pre{0b00, 2}, pre{0b10, 2}, pre{0b0, 1}, pre{0b11, 2}, pre{}
+	product := func(s0, s1 []pre, data int32) (rs []coverRule) {
+		for _, p0 := range s0 {
+			for _, p1 := range s1 {
+				rs = append(rs, coverRule{p0, p1, data})
+			}
+		}
+		return rs
+	}
+	abcd := product([]pre{A, B}, []pre{C, D}, 7) // A×C A×D B×C B×D
+	catchAll := ruleRun{[]coverRule{{all, all, 9}}, true}
+	var many, sparse []ruleRun
+	for g := uint32(0); g < 70; g++ {
+		// 70 groups of two boxes each: hits land in both row words.
+		many = append(many, ruleRun{product([]pre{{g % 16, 4}}, []pre{{4 * (g / 16), 5}, {4*(g/16) + 2, 5}}, int32(100+g)), true})
+	}
+	// Key (1,2) finds a group in row word 0 in either dimension — (1,1)
+	// and (2,2) — but none in both: the search must go on to word 1.
+	exact := func(v0, v1 uint32, data int32) ruleRun {
+		return ruleRun{[]coverRule{{pre{v0, 4}, pre{v1, 5}, data}}, true}
+	}
+	sparse = append(sparse, exact(1, 1, 100), exact(2, 2, 101))
+	for len(sparse) < 70 {
+		sparse = append(sparse, exact(15, 15, int32(len(sparse))))
+	}
+	sparse = append(sparse, exact(1, 2, 170))
+	cases := []struct {
+		name string
+		runs []ruleRun
+	}{
+		{"(a) cross product", []ruleRun{{abcd, true}, catchAll}},
+		{"(b) product less one box", []ruleRun{{abcd[1:], false}, catchAll}},
+		{"(c) product with one box twice", []ruleRun{{append(abcd[:4:4], abcd[2]), false}, catchAll}},
+		{"as many boxes as the product, one missing, one twice", []ruleRun{{append(abcd[1:4:4], abcd[2]), false}, catchAll}},
+		{"L-shape A×C, B×D", []ruleRun{{[]coverRule{abcd[0], abcd[3]}, false}, catchAll}},
+		{"(d) product cut by a rule of other data", []ruleRun{{[]coverRule{abcd[0], abcd[2]}, true}, catchAll, {[]coverRule{abcd[1], abcd[3]}, true}}},
+		{"(e) 70 groups", append(many, catchAll)},
+		{"no common group in row word 0", sparse},
+	}
+	halves := []pre{{0, 1}, {1, 1}}
+	for _, widths := range [][]int{{4, 5}, {4, 13}, {4, 5, 1, 1}} {
+		var l Layout
+		var keys []FieldID
+		inputs := [][]int32{{}}
+		for d, w := range widths {
+			keys = append(keys, l.MustAdd(nm("k", d), 16))
+			var next [][]int32
+			for _, in := range inputs {
+				for v := int32(0); v < 1<<w; v++ {
+					next = append(next, append(in[:len(in):len(in)], v))
+				}
+			}
+			inputs = next
+		}
+		out := l.MustAdd("out", 32)
+		entry := func(data int32, ps ...pre) Entry {
+			e := Entry{Data: []int32{data}}
+			for d, p := range ps {
+				e.Key = append(e.Key, p.val<<(widths[d]-p.len))
+				e.Mask = append(e.Mask, widthMask(widths[d])&^widthMask(widths[d]-p.len))
+			}
+			return e
+		}
+		for _, tc := range cases {
+			for _, def := range [][]int32{nil, {-1}} {
+				tbl := &Table{Name: "t", Kind: MatchTernary, KeyFields: keys, KeyWidths: widths, DefaultData: def,
+					Action: []Op{{Kind: OpSetData, Dst: out, DataIdx: 0}}}
+				groups := 0
+				for _, run := range tc.runs {
+					n := len(tbl.Entries)
+					for _, r := range run.rules {
+						if len(widths) == 2 {
+							tbl.Entries = append(tbl.Entries, entry(r.data, r.p0, r.p1))
+							continue
+						}
+						for _, p2 := range halves {
+							for _, p3 := range halves {
+								tbl.Entries = append(tbl.Entries, entry(r.data, r.p0, r.p1, p2, p3))
+							}
+						}
+					}
+					if groups++; !run.one {
+						groups += len(tbl.Entries) - n - 1
+					}
+				}
+				prog := NewProgram("cover", &l, Tofino2)
+				prog.Place(0, tbl)
+				plan := CompileProgram(prog)
+				tag := fmt.Sprintf("%s, widths %v, default %v", tc.name, widths, def)
+				if sh := plan.Shape(); len(sh.Bitmaps) != 1 || sh.Bitmaps[0] != (groups+63)/64 || sh.Rules != len(tbl.Entries) || sh.Groups != groups {
+					t.Errorf("%s: shape %v, want %d rules in %d groups", tag, sh, len(tbl.Entries), groups)
+				}
+				t.Run(tag, func(t *testing.T) { diffProcess(t, prog, plan, keys, inputs) })
+				phv := l.NewPHV()
+				if allocs := testing.AllocsPerRun(20, func() { plan.Process(phv) }); allocs != 0 {
+					t.Fatalf("%s: bitmap lookup allocates %.1f heap objects per packet", tag, allocs)
+				}
+			}
+		}
+	}
+
+	// Grouping defeated: every rule has its own data, so a bit is a rule
+	// and rows run to many words; three and four key fields, dense and
+	// cell-indexed dimensions. Every rule is probed inside its own box, so
+	// hits land in every row word and first-match priority is checked
+	// against the overlapping rules ahead of it.
 	rng := rand.New(rand.NewSource(77))
 	for _, tc := range []struct {
 		widths []int
@@ -543,68 +744,17 @@ func TestCompiledBitmapSummaries(t *testing.T) {
 		def    []int32
 	}{
 		{[]int{6, 5, 5}, 40, nil},               // one row word
-		{[]int{6, 14, 5}, 200, []int32{-1}},     // four row words, a searched dimension
-		{[]int{6, 5, 5, 5}, 1500, nil},          // the CNN-M combo shape: 24 row words
-		{[]int{5, 13, 4, 16}, 4500, []int32{0}}, // 71 row words: two summary words
-		{[]int{4, 4}, 9000, nil},                // 141 row words: three summary words
+		{[]int{6, 14, 5}, 200, []int32{-1}},     // four row words, a cell-indexed dimension
+		{[]int{6, 5, 5, 5}, 1500, nil},          // 24 row words
+		{[]int{5, 13, 4, 16}, 4500, []int32{0}}, // 71 row words
 	} {
 		prog, keys, probes := bitmapCase(rng, tc.widths, tc.rules, tc.def)
 		plan := CompileProgram(prog)
-		sh := plan.Shape()
-		words := (tc.rules + 63) / 64
-		if want := words + (words+63)/64; len(sh.Bitmaps) != 1 || sh.Bitmaps[0] != want {
-			t.Fatalf("widths %v, %d rules: shape %v, want one bitmap unit of %d words per row", tc.widths, tc.rules, sh, want)
+		if sh := plan.Shape(); len(sh.Bitmaps) != 1 || sh.Bitmaps[0] != (tc.rules+63)/64 || sh.Groups != tc.rules {
+			t.Fatalf("widths %v, %d rules: shape %v, want one bitmap unit of a group per rule", tc.widths, tc.rules, sh)
 		}
 		diffProcess(t, prog, plan, keys, probes)
-		phv := prog.Layout.NewPHV()
-		if allocs := testing.AllocsPerRun(20, func() { plan.Process(phv) }); allocs != 0 {
-			t.Fatalf("widths %v: bitmap lookup allocates %.1f heap objects per packet", tc.widths, allocs)
-		}
 	}
-}
-
-// TestCompiledBitmapFalseCandidate pins the fall-through: for key (1,2)
-// both dimensions have a rule in row word 0 — rule 0 and rule 1 — so the
-// summaries make word 0 a candidate, yet the two share no rule there;
-// the search must move on to word 1, where rule 70 matches. Key (2,1)
-// has the same false candidate and nothing behind it: a total miss.
-func TestCompiledBitmapFalseCandidate(t *testing.T) {
-	var l Layout
-	k0 := l.MustAdd("k0", 8)
-	k1 := l.MustAdd("k1", 8)
-	out := l.MustAdd("out", 32)
-	exact := func(v0, v1 uint32, data int32) Entry {
-		return Entry{Key: []uint32{v0, v1}, Mask: []uint32{0xf, 0xf}, Data: []int32{data}}
-	}
-	entries := []Entry{exact(1, 1, 100), exact(2, 2, 101)}
-	for len(entries) < 70 {
-		entries = append(entries, exact(15, 15, 1))
-	}
-	entries = append(entries, exact(1, 2, 170))
-	prog := NewProgram("false-candidate", &l, Tofino2)
-	prog.Place(0, &Table{Name: "t", Kind: MatchTernary, KeyFields: []FieldID{k0, k1}, KeyWidths: []int{4, 4},
-		Entries: entries, Action: []Op{{Kind: OpSetData, Dst: out, DataIdx: 0}}})
-	plan := CompileProgram(prog)
-	if sh := plan.Shape(); len(sh.Bitmaps) != 1 || sh.Bitmaps[0] != 3 {
-		t.Fatalf("shape %v, want one bitmap unit of 1 summary + 2 row words", sh)
-	}
-	phv := l.NewPHV()
-	for _, tc := range []struct{ v0, v1, want int32 }{{1, 2, 170}, {2, 1, 0}, {1, 1, 100}, {3, 3, 0}, {15, 15, 1}} {
-		phv.Reset()
-		phv.Set(k0, tc.v0)
-		phv.Set(k1, tc.v1)
-		plan.Process(phv)
-		if got := phv.Get(out); got != tc.want {
-			t.Fatalf("key (%d,%d): out %d, want %d", tc.v0, tc.v1, got, tc.want)
-		}
-	}
-	var inputs [][]int32
-	for v0 := int32(0); v0 < 16; v0++ {
-		for v1 := int32(0); v1 < 16; v1++ {
-			inputs = append(inputs, []int32{v0, v1})
-		}
-	}
-	diffProcess(t, prog, plan, []FieldID{k0, k1}, inputs)
 }
 
 // TestActionDataArity pins the arity check: an entry or default with

@@ -21,7 +21,9 @@ type PlanShape struct {
 	SlotDirect  int   // direct units that resolve a slab slot
 	Hash        int
 	Interval    []int // intervals per interval unit, equal-data neighbours merged
-	Bitmaps     []int // words per row of each bitmap unit, summary words included
+	Bitmaps     []int // words per row of each bitmap unit, one bit per cover group
+	Rules       int   // reachable rules the bitmap units were given ...
+	Groups      int   // ... and the cover groups they kept: equal where grouping is defeated
 	Scans       int   // generic scan fallbacks
 
 	// Cells lists the cells of every cell index — one per searched array
@@ -57,7 +59,8 @@ func (cp *CompiledProgram) Shape() PlanShape {
 		case u.kind == execHash:
 			s.Hash++
 		case u.kind == execBitmap:
-			s.Bitmaps = append(s.Bitmaps, u.sumWords+u.bsWords)
+			s.Bitmaps = append(s.Bitmaps, u.bsWords)
+			s.Rules, s.Groups = s.Rules+u.rules, s.Groups+u.groups
 		default:
 			s.Scans++
 		}
@@ -110,15 +113,16 @@ func (s *PlanShape) add(o PlanShape) {
 	s.Cells = append(s.Cells, o.Cells...)
 	s.Searched += o.Searched
 	s.Bitmaps = append(s.Bitmaps, o.Bitmaps...)
+	s.Rules, s.Groups = s.Rules+o.Rules, s.Groups+o.Groups
 	s.Scans += o.Scans
 	s.Bytes += o.Bytes
 }
 
 // String renders the shape on one line, e.g. "38 tables -> 14 units,
-// 52.6 KiB: 1 dispatch (8), 1 load run (16), 4 slot-direct, 2 interval
-// (256+206, cell-indexed), 4 bitmap (6+6+7+6 words/row), 2 always, 2
-// cell index (1280+464 cells)". An interpreted engine has tables and no
-// units.
+// 47.7 KiB: 1 dispatch (8), 1 load run (16), 4 slot-direct, 2 interval
+// (256+206, cell-indexed), 4 bitmap (2+2+2+2 words/row, 5059 rules ->
+// 462 groups), 2 always, 2 cell index (1280+464 cells)". An interpreted
+// engine has tables and no units.
 func (s PlanShape) String() string {
 	if s.Units == 0 {
 		return fmt.Sprintf("%d tables, interpreted (no plan)", s.Tables)
@@ -144,7 +148,7 @@ func (s PlanShape) String() string {
 	count("slot-direct", s.SlotDirect)
 	count("hash", s.Hash)
 	list("interval", ", cell-indexed", s.Interval)
-	list("bitmap", " words/row", s.Bitmaps)
+	list("bitmap", fmt.Sprintf(" words/row, %d rules -> %d groups", s.Rules, s.Groups), s.Bitmaps)
 	count("scan", s.Scans)
 	count("always", s.Always)
 	list("cell index", cells, s.Cells)

@@ -28,7 +28,7 @@
 // specialised per table: always-tables inline into straight-line op
 // streams, exact tables become dense direct-index arrays or hashed
 // lookups on a packed key, and range-coded ternary tables become
-// interval lookups and per-dimension rule-bitset intersections.
+// interval lookups and per-dimension cover-group bitset intersections.
 // Compiled execution is bit-identical to the interpreter (differential
 // fuzz tests enforce it across every model family and the multi-pipe
 // chain) and is what throughput-bearing replay should use; the
