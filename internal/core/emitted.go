@@ -46,10 +46,10 @@ type Emitted struct {
 	// Shared, when set, binds this emission to a physically shared
 	// extraction machine: the emission itself is a pure-combinational
 	// window classifier (no extraction prelude, no registers) and its
-	// InFields consume the machine's fired feature window, delivered by
-	// a pisa.Fanout. Emissions carrying the same handle subscribe to the
-	// same physical program; the Deployment ledger charges the machine
-	// once.
+	// InFields consume the machine's fired feature window: a pisa.Fanout
+	// runs the emission inside the machine's shard tasks. Emissions
+	// carrying the same handle subscribe to the same physical program;
+	// the Deployment ledger charges the machine once.
 	Shared *SharedExtraction
 }
 

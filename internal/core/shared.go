@@ -14,8 +14,8 @@ import (
 // PROGRAM — prelude, trackers and window-fire with the materialised
 // feature window as its declared outputs — that co-resident emissions
 // bind to instead: the machine executes each packet's register RMWs
-// exactly once and fans the fired window out to every subscriber as an
-// ordinary stateless job (see pisa.Fanout).
+// exactly once, and its shard tasks run every subscriber's stateless
+// chain over the windows they fire (see pisa.Fanout).
 
 // SharedExtraction is one physical feature-extraction machine: the
 // standalone emission that owns the per-flow registers, plus the
@@ -31,7 +31,8 @@ type SharedExtraction struct {
 	// stages and per-flow registers, OutFields the materialised feature
 	// window (written on firing packets), ClassField the fire flag.
 	// Serve it with Em.NewPacketEngineOn and wrap the engine in a
-	// pisa.Fanout to attach subscribers.
+	// pisa.Fanout to attach subscribers: their plans run inside this
+	// engine's shard tasks.
 	Em *Emitted
 }
 

@@ -275,51 +275,10 @@ func (m *AutoEncoder) GateThreshold(thr float64) (int32, error) {
 	return int32(math.Round(thr * float64(n) * math.Ldexp(1, int(frac)))), nil
 }
 
-// EmitGated emits the window-replay form of the gated detector: the
-// reconstruction pipeline plus the on-switch anomaly gate, consuming
-// pre-extracted windows ([anom, score, window...] out). It is the
-// host-side sequential-execution reference for the §7.4 deployment —
-// stateless per window, so RunSwitch calls do not disturb each other.
-func (m *AutoEncoder) EmitGated(flows int, thr float64) (*core.Emitted, error) {
-	if m.pipe == nil || m.compiled == nil {
-		return nil, fmt.Errorf("models: %s not compiled", m.Name)
-	}
-	thrInt, err := m.GateThreshold(thr)
-	if err != nil {
-		return nil, err
-	}
-	saved := m.pipe.Opts.Emit
-	m.pipe.Opts.Emit.Gate = &core.GateSpec{KeepGroup: m.embGroup, Threshold: thrInt}
-	defer func() { m.pipe.Opts.Emit = saved }()
-	return m.pipe.EmitProgram(flows)
-}
-
-// EmitGatedPackets emits the §7.4 deployment form of the detector: the
-// sequence extraction machine in front, the reconstruction pipeline in
-// the middle, and the on-switch anomaly gate at the end — the emitted
-// program consumes raw packets and, on every window boundary, produces
-// [anom, score, window...]: the threshold verdict, the integer MAE
-// score, and the extracted window a deployment harness forwards into
-// the co-resident classifier when the verdict is benign.
-func (m *AutoEncoder) EmitGatedPackets(flows int, thr float64) (*core.Emitted, error) {
-	if m.pipe == nil || m.compiled == nil {
-		return nil, fmt.Errorf("models: %s not compiled", m.Name)
-	}
-	thrInt, err := m.GateThreshold(thr)
-	if err != nil {
-		return nil, err
-	}
-	saved := m.pipe.Opts.Emit
-	m.pipe.Opts.Emit.Extract = &core.ExtractSpec{Kind: core.ExtractSeq, Window: Window}
-	m.pipe.Opts.Emit.Gate = &core.GateSpec{KeepGroup: m.embGroup, Threshold: thrInt}
-	defer func() { m.pipe.Opts.Emit = saved }()
-	return m.pipe.EmitProgram(flows)
-}
-
-// EmitGatedShared emits the gated detector as a pure-combinational
-// subscriber of a physically shared seq extraction machine: the
-// reconstruction pipeline plus the anomaly gate, consuming the
-// machine's fired window instead of running a private prelude
+// EmitGatedShared emits the §7.4 form of the detector (the gate
+// GatedPipeline.Emit deploys): a pure-combinational subscriber of a
+// physically shared seq extraction machine — the reconstruction
+// pipeline plus the anomaly gate, consuming the machine's fired window
 // ([anom, score, window...] out, no registers).
 func (m *AutoEncoder) EmitGatedShared(shared *core.SharedExtraction, thr float64) (*core.Emitted, error) {
 	if m.pipe == nil || m.compiled == nil {

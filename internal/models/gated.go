@@ -22,36 +22,26 @@ func roundWindow(x []float64) []int32 {
 
 // GatedPipeline is the §7.4 two-program deployment: an unknown-attack
 // AutoEncoder whose reconstruction-error gate screens every feature
-// window, co-resident with a classifier that labels only the windows
-// the gate passes. Both programs are compiled against one combined
-// switch budget (core.Deployment, extraction prelude shared) and served
-// from one shared-budget pisa.Scheduler: raw netsim.Merge traces go in,
-// gated classifications come out, bit-identical to running the two
-// emitted programs sequentially on the host.
+// window, co-resident with a classifier that labels the windows the
+// gate passes. Both programs are register-free subscribers of ONE
+// physically shared seq extraction machine, validated against one
+// combined switch budget (core.Deployment) and served from one
+// shared-budget pisa.Scheduler: raw netsim.Merge traces go in, gated
+// classifications come out, bit-identical to host-side window
+// extraction followed by running the two emitted programs sequentially.
 type GatedPipeline struct {
 	AE  *AutoEncoder
 	Cls *Feedforward
 	// Threshold is the anomaly cut in the ScorePegasus MAE domain;
-	// windows scoring ≥ Threshold are flagged unknown-attack and never
-	// reach the classifier.
+	// windows scoring ≥ Threshold are flagged unknown-attack and carry
+	// no class.
 	Threshold float64
 
-	// EmAE is the gated packet emission ([anom, score, window...] out);
-	// EmAEHost its extraction-free window-replay twin (the host-side
-	// sequential reference — per-window RunSwitch calls on the packet
-	// emission would advance its own flow-state registers); EmCls the
-	// classifier's window emission. Dep is the combined capacity
-	// report of the deployed pair. All set by Emit.
-	EmAE     *core.Emitted
-	EmAEHost *core.Emitted
-	EmCls    *core.Emitted
-	Dep      *core.Deployment
-
-	// SharedExt is the physically shared extraction machine of the
-	// shared deployment form; EmAEShared/EmClsShared are its
-	// pure-combinational subscriber emissions (gate and classifier both
-	// consume the machine's fired window); DepShared is their combined
-	// ledger. All set by EmitShared.
+	// SharedExt is the physically shared extraction machine;
+	// EmAEShared (the gated detector, [anom, score, window...] out) and
+	// EmClsShared (the classifier) are its subscriber emissions, both
+	// consuming the machine's fired window; DepShared is their combined
+	// ledger. All set by Emit.
 	SharedExt   *core.SharedExtraction
 	EmAEShared  *core.Emitted
 	EmClsShared *core.Emitted
@@ -70,9 +60,9 @@ type GatedResult struct {
 }
 
 // NewGatedPipeline pairs a compiled AutoEncoder with a compiled
-// sequence classifier (CNN-B/CNN-M class models: same Window·2 bucket
-// window the detector scores, so the gate can forward its extracted
-// window verbatim).
+// sequence classifier (CNN-B/CNN-M class models: the same Window·2
+// bucket window the detector scores, so both can subscribe to one seq
+// extraction machine).
 func NewGatedPipeline(ae *AutoEncoder, cls *Feedforward, thr float64) (*GatedPipeline, error) {
 	if cls.PacketExtract != core.ExtractSeq || cls.InDim != Window*2 {
 		return nil, fmt.Errorf("models: gated pipeline needs a seq-window classifier (%s extracts %v over %d inputs)",
@@ -103,39 +93,14 @@ func CalibrateGate(ae *AutoEncoder, flows []netsim.Flow, q float64) (float64, er
 	return scores[i], nil
 }
 
-// Emit compiles both programs for flows concurrent flows and validates
-// the pair against the combined capacity (e.g. pisa.Tofino2.Pipes(2),
-// the ingress+egress silicon of one switch).
+// Emit compiles the deployment: ONE standalone seq extraction machine
+// for flows concurrent flows plus two pure-combinational subscribers
+// (the gated detector and the classifier), validated as a combined
+// deployment against cap (e.g. pisa.Tofino2.Pipes(2), the
+// ingress+egress silicon of one switch). The machine executes the
+// per-packet register RMWs once and both programs classify its fired
+// windows.
 func (g *GatedPipeline) Emit(flows int, cap pisa.Capacity) error {
-	emAE, err := g.AE.EmitGatedPackets(flows, g.Threshold)
-	if err != nil {
-		return fmt.Errorf("models: gated %s emission: %w", g.AE.Name, err)
-	}
-	emAEHost, err := g.AE.EmitGated(flows, g.Threshold)
-	if err != nil {
-		return fmt.Errorf("models: gated %s host emission: %w", g.AE.Name, err)
-	}
-	emCls, err := g.Cls.Emit(flows)
-	if err != nil {
-		return fmt.Errorf("models: %s emission: %w", g.Cls.Name, err)
-	}
-	dep, err := core.NewDeployment(fmt.Sprintf("%s-gated-%s", g.AE.Name, g.Cls.Name), cap, emAE, emCls)
-	if err != nil {
-		return err
-	}
-	g.EmAE, g.EmAEHost, g.EmCls, g.Dep = emAE, emAEHost, emCls, dep
-	return nil
-}
-
-// EmitShared compiles the deployment's physically shared form: ONE
-// standalone seq extraction machine plus two pure-combinational
-// subscribers (the gated detector and the classifier), validated as a
-// combined deployment against cap. Where Emit's form runs the
-// detector's private prelude on every packet and the ledger merely
-// accounts the classifier's flow-state, the shared form executes the
-// per-packet register RMWs once on the machine and fans fired windows
-// out to both programs.
-func (g *GatedPipeline) EmitShared(flows int, cap pisa.Capacity) error {
 	shared, err := core.EmitSharedExtraction("px-shared-seq", cap, SharedWindowSpec(core.ExtractSeq), flows)
 	if err != nil {
 		return fmt.Errorf("models: shared extraction emission: %w", err)
@@ -148,7 +113,7 @@ func (g *GatedPipeline) EmitShared(flows int, cap pisa.Capacity) error {
 	if err != nil {
 		return fmt.Errorf("models: shared %s emission: %w", g.Cls.Name, err)
 	}
-	dep, err := core.NewDeployment(fmt.Sprintf("%s-gated-%s-shared", g.AE.Name, g.Cls.Name), cap, emAE, emCls)
+	dep, err := core.NewDeployment(fmt.Sprintf("%s-gated-%s", g.AE.Name, g.Cls.Name), cap, emAE, emCls)
 	if err != nil {
 		return err
 	}
@@ -156,18 +121,17 @@ func (g *GatedPipeline) EmitShared(flows int, cap pisa.Capacity) error {
 	return nil
 }
 
-// RunShared replays a raw merged trace through the physically shared
-// deployment: the extraction machine executes every packet's register
-// RMWs once, and each fired window fans out to the gate and the
-// classifier as stateless jobs on the shared scheduler. Output is
-// bit-identical to Run — the classifier scores every window in this
-// form (physically, every subscriber sees every fire), but anomalous
-// windows still report Class -1, and the stateless classifier labels
-// benign windows exactly as the gated forwarding path would. A nil
-// sched runs on a private pool sized to GOMAXPROCS.
-func (g *GatedPipeline) RunShared(stream []netsim.StreamPacket, sched *pisa.Scheduler, mode pisa.ExecMode) ([]GatedResult, error) {
-	if g.SharedExt == nil || g.EmAEShared == nil || g.EmClsShared == nil {
-		return nil, fmt.Errorf("models: gated pipeline has no shared emission (call EmitShared)")
+// Run replays a raw merged trace through the deployment: the extraction
+// machine executes every packet's register RMWs once, and each fired
+// window is classified by the gate and the classifier inside the
+// machine's shard tasks (pisa.Fanout). Results arrive in stream order.
+// The classifier scores every window — physically, every subscriber sees
+// every fire — but anomalous windows report Class -1, exactly as if the
+// gate had withheld them. A nil sched runs on a private pool sized to
+// GOMAXPROCS.
+func (g *GatedPipeline) Run(stream []netsim.StreamPacket, sched *pisa.Scheduler, mode pisa.ExecMode) ([]GatedResult, error) {
+	if g.SharedExt == nil {
+		return nil, fmt.Errorf("models: gated pipeline not emitted")
 	}
 	if sched == nil {
 		sched = pisa.NewScheduler(0)
@@ -185,6 +149,11 @@ func (g *GatedPipeline) RunShared(stream []netsim.StreamPacket, sched *pisa.Sche
 	fan.Subscribe(clsEng)
 	extEng.ResetState()
 	res := fan.RunPackets(PacketJobs(g.SharedExt.Em, stream))
+	for _, e := range []*pisa.Engine{extEng, aeEng, clsEng} {
+		if err := e.Poisoned(); err != nil {
+			return nil, err
+		}
+	}
 	aeRes, clsRes := res[0], res[1]
 	out := make([]GatedResult, len(aeRes))
 	for k, ar := range aeRes {
@@ -197,56 +166,13 @@ func (g *GatedPipeline) RunShared(stream []netsim.StreamPacket, sched *pisa.Sche
 	return out, nil
 }
 
-// Run replays a raw merged trace through the deployment on a shared
-// scheduler: every packet drives the AutoEncoder's extraction
-// registers; each completed window yields the gate verdict, and benign
-// windows are forwarded — window vector attached — into the classifier
-// engine registered on the same scheduler. Results arrive in stream
-// order. A nil sched runs the deployment on a private pool sized to
-// GOMAXPROCS.
-func (g *GatedPipeline) Run(stream []netsim.StreamPacket, sched *pisa.Scheduler, mode pisa.ExecMode) ([]GatedResult, error) {
-	if g.EmAE == nil || g.EmCls == nil {
-		return nil, fmt.Errorf("models: gated pipeline not emitted")
-	}
-	if sched == nil {
-		sched = pisa.NewScheduler(0)
-		defer sched.Close()
-	}
-	aeEng := g.EmAE.NewPacketEngineOn(sched, g.AE.Name, 1, mode)
-	defer aeEng.Close()
-	clsEng := g.EmCls.NewEngineOn(sched, g.Cls.Name, 1, mode)
-	defer clsEng.Close()
-
-	aeEng.ResetState()
-	fires := aeEng.RunPackets(PacketJobs(g.EmAE, stream))
-	out := make([]GatedResult, 0, len(fires))
-	var fwd []pisa.Job
-	var fwdAt []int
-	for _, r := range fires {
-		gr := GatedResult{Pkt: r.Pkt, Anomalous: r.Outs[0] != 0, Score: r.Outs[1], Class: -1}
-		if !gr.Anomalous {
-			fwdAt = append(fwdAt, len(out))
-			// r.Outs aliases the AE engine's reused buffer; the window
-			// must be detached before the classifier batch runs.
-			fwd = append(fwd, pisa.Job{
-				Hash: stream[r.Pkt].Flow.Tuple.Hash(),
-				In:   append([]int32(nil), r.Outs[2:]...),
-			})
-		}
-		out = append(out, gr)
-	}
-	for i, cr := range clsEng.RunBatch(fwd) {
-		out[fwdAt[i]].Class = cr.Class
-	}
-	return out, nil
-}
-
 // HostSequential computes the deployment's reference output: host-side
 // window extraction followed by sequentially running the two emitted
 // programs (RunSwitch) per window — the bit-exact target Run must
-// reproduce from raw packets.
+// reproduce from raw packets. The subscriber emissions are stateless per
+// window, so RunSwitch calls do not disturb each other.
 func (g *GatedPipeline) HostSequential(stream []netsim.StreamPacket) ([]GatedResult, error) {
-	if g.EmAE == nil || g.EmCls == nil {
+	if g.SharedExt == nil {
 		return nil, fmt.Errorf("models: gated pipeline not emitted")
 	}
 	counts := map[*netsim.Flow]int{}
@@ -264,10 +190,10 @@ func (g *GatedPipeline) HostSequential(stream []netsim.StreamPacket) ([]GatedRes
 			wins[sp.Flow] = w
 		}
 		x := roundWindow(w[n/Window-1].SeqFeatures())
-		_, outs := g.EmAEHost.RunSwitch(x)
+		_, outs := g.EmAEShared.RunSwitch(x)
 		gr := GatedResult{Pkt: i, Anomalous: outs[0] != 0, Score: outs[1], Class: -1}
 		if !gr.Anomalous {
-			cls, _ := g.EmCls.RunSwitch(x)
+			cls, _ := g.EmClsShared.RunSwitch(x)
 			gr.Class = cls
 		}
 		out = append(out, gr)

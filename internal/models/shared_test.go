@@ -327,39 +327,3 @@ func TestSharedIdleEviction(t *testing.T) {
 		matchFires(t, "CNN-B/evict", mode, res[0], want)
 	}
 }
-
-// TestGatedSharedMatchesPrivate runs the §7.4 AutoEncoder-gated
-// deployment in its physically shared form: one seq machine fanning
-// windows out to the gate and the classifier must reproduce the
-// host-sequential reference (and therefore the private-prelude Run
-// path) bit for bit, in both execution modes.
-func TestGatedSharedMatchesPrivate(t *testing.T) {
-	g, flows := buildGated(t)
-	if err := g.EmitShared(1<<16, pisa.Tofino2.Pipes(2)); err != nil {
-		t.Fatal(err)
-	}
-	stream := netsim.Merge(flows)
-	want, err := g.HostSequential(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("no windows fired")
-	}
-	for _, mode := range []pisa.ExecMode{pisa.ExecInterpret, pisa.ExecCompiled} {
-		sched := pisa.NewScheduler(4)
-		got, err := g.RunShared(stream, sched, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("[%v] %d shared results, host expects %d", mode, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("[%v] window %d: shared %+v, host sequential %+v", mode, i, got[i], want[i])
-			}
-		}
-		sched.Close()
-	}
-}

@@ -86,6 +86,10 @@ func (m ExecMode) String() string {
 // unobservable; there is no option to turn it off, and ExecInterpret
 // engines — the reference the differential tests compare against — run
 // every table on every packet.
+//
+// A packet-configured engine may also carry fan-out subscribers (see
+// Fanout): register-free chains that each shard task runs, after its
+// packets, over the windows they fired.
 type Engine struct {
 	name    string
 	progs   []*Program
@@ -146,6 +150,9 @@ type Engine struct {
 	// shape is what the chain's plans lowered to (tables only on
 	// ExecInterpret engines, which have no plan).
 	shape PlanShape
+	// subs are the fan-out subscribers, in subscription order (changed
+	// only by Fanout, between runs).
+	subs []*subscriber
 }
 
 // PlanSplit reports how an engine divides its program chain between
@@ -195,6 +202,20 @@ type shardRes struct {
 	// session that owns the registers.
 	regRMWs atomic.Uint64
 	_       [48]byte
+}
+
+func (r *shardRes) reset() {
+	r.fireIdx, r.fireClass, r.fireOuts = r.fireIdx[:0], r.fireClass[:0], r.fireOuts[:0]
+}
+
+// stage appends one fire: packet pkt's class and outputs, read from the
+// chain's final PHV values.
+func (r *shardRes) stage(pkt int32, vals []int32, class FieldID, out []FieldID) {
+	r.fireIdx = append(r.fireIdx, pkt)
+	r.fireClass = append(r.fireClass, vals[class])
+	for _, f := range out {
+		r.fireOuts = append(r.fireOuts, vals[f])
+	}
 }
 
 // densePad is the gap (in int32s) left between two shards' regions of
@@ -360,13 +381,19 @@ func (s *Scheduler) newSession(name string, weight int, progs []*Program, bridge
 	e.regionOff = make([]int, shards)
 	e.mergeCur = make([]int, shards)
 	for sh := range e.phvs {
-		e.phvs[sh] = make([]*PHV, len(progs))
-		for k, p := range progs {
-			e.phvs[sh][k] = p.Layout.NewPHV()
-		}
+		e.phvs[sh] = e.newPHVs()
 	}
 	s.register(e)
 	return e
+}
+
+// newPHVs allocates one PHV per pipe of the chain.
+func (e *Engine) newPHVs() []*PHV {
+	phvs := make([]*PHV, len(e.progs))
+	for k, p := range e.progs {
+		phvs[k] = p.Layout.NewPHV()
+	}
+	return phvs
 }
 
 // Close releases the engine's scheduler session; when the engine owns a
@@ -514,26 +541,47 @@ func (e *Engine) inline(n int) bool {
 // — and poisons only this session, never the pool. Both the worker
 // loop and the inline fast path run tasks through here, so the
 // isolation (and the injectable slow-plan / panicking-plan faults)
-// behave identically in solo and shared serving.
+// behave identically in solo and shared serving. A packet task then runs
+// the fan-out subscribers, each under its own recover.
 func (e *Engine) runTask(t shardTask) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.poison(r)
 		}
 	}()
-	if faultinject.Enabled() {
-		if d := faultinject.Delay(faultinject.SlowSession, e.name); d > 0 {
-			time.Sleep(d)
-		}
-		if faultinject.Should(faultinject.PanicSession, e.name) {
-			panic("faultinject: injected plan panic")
-		}
-	}
-	if t.pkts != nil {
-		e.runPacketShard(t.shard, t.pkts, t.idx)
-	} else {
+	e.faults()
+	if t.pkts == nil {
 		e.runShard(t.shard, t.jobs, t.res, t.dense, t.idx)
+		return
 	}
+	e.runPacketShard(t.shard, t.pkts, t.idx)
+	for _, s := range e.subs {
+		s.run(&e.shardRes[t.shard], len(e.out), t.shard)
+	}
+}
+
+// faults fires the session's injectable slow-plan and panicking-plan
+// faults, keyed by its name.
+func (e *Engine) faults() {
+	if !faultinject.Enabled() {
+		return
+	}
+	if d := faultinject.Delay(faultinject.SlowSession, e.name); d > 0 {
+		time.Sleep(d)
+	}
+	if faultinject.Should(faultinject.PanicSession, e.name) {
+		panic("faultinject: injected plan panic")
+	}
+}
+
+// runInline runs one task covering the whole batch on the caller
+// goroutine, accounted as a zero-wait task on the submitter's stripe.
+func (e *Engine) runInline(t shardTask) {
+	start := time.Now()
+	e.noteWait(e.selfSlot(), 0)
+	e.noteDepth(0)
+	e.runTask(t)
+	e.note(e.selfSlot(), len(t.idx), time.Since(start))
 }
 
 // shardOf maps a flow hash to its shard.
@@ -628,17 +676,10 @@ func (e *Engine) submitJobs(jobs []Job, res []Result) []int32 {
 	return arena
 }
 
-// submitPackets shards a raw-packet batch, resets every shard's fire
-// staging (so a panicked or shed shard contributes zero fires instead
-// of a stale batch's), and publishes the shard tasks WITHOUT waiting.
+// submitPackets shards a raw-packet batch and publishes the shard tasks
+// WITHOUT waiting.
 func (e *Engine) submitPackets(pkts []PacketIn) {
 	cnt := e.shardIndices(len(pkts), func(i int) uint32 { return pkts[i].Hash })
-	for s := 0; s < e.shards; s++ {
-		sr := &e.shardRes[s]
-		sr.fireIdx = sr.fireIdx[:0]
-		sr.fireClass = sr.fireClass[:0]
-		sr.fireOuts = sr.fireOuts[:0]
-	}
 	e.armBatch(cnt)
 	now := time.Now()
 	for s := 0; s < e.shards; s++ {
@@ -691,11 +732,7 @@ func (e *Engine) SubmitBatch(jobs []Job) *Pending {
 	}
 	if e.inline(len(jobs)) {
 		dense := make([]int32, len(jobs)*(len(e.out)+1))
-		start := time.Now()
-		e.noteWait(e.selfSlot(), 0)
-		e.noteDepth(0)
-		e.runTask(shardTask{jobs: jobs, res: res, dense: dense, idx: e.seqIdx(len(jobs))})
-		e.note(e.selfSlot(), len(jobs), time.Since(start))
+		e.runInline(shardTask{jobs: jobs, res: res, dense: dense, idx: e.seqIdx(len(jobs))})
 		return &Pending{e: e, res: res, done: true}
 	}
 	e.submitJobs(jobs, res)
@@ -787,11 +824,7 @@ func (e *Engine) RunStream(in <-chan Job, out chan<- Result) int {
 	total := drainStream(in, func(buf []Job) {
 		if e.inline(len(buf)) {
 			dense := make([]int32, len(buf)*stride)
-			start := time.Now()
-			e.noteWait(e.selfSlot(), 0)
-			e.noteDepth(0)
-			e.runTask(shardTask{jobs: buf, dense: dense, idx: e.seqIdx(len(buf))})
-			e.note(e.selfSlot(), len(buf), time.Since(start))
+			e.runInline(shardTask{jobs: buf, dense: dense, idx: e.seqIdx(len(buf))})
 			for i := range buf {
 				off := i * stride
 				out <- Result{Class: int(dense[off]), Outs: dense[off+1 : off+stride : off+stride]}
@@ -842,6 +875,7 @@ func (e *Engine) ConfigurePackets(meta PacketMeta) {
 	m := meta
 	e.meta = &m
 	if e.mode == ExecInterpret {
+		e.cut = 1 // pipe 0 runs whole, as its one unit (see runChain)
 		return
 	}
 	// Recomputed from the whole-chain unit count, so reconfiguring with
@@ -892,57 +926,64 @@ func (e *Engine) RunPackets(pkts []PacketIn) []PacketResult {
 	if len(pkts) == 0 {
 		return nil
 	}
-	w := len(e.out)
-	if e.inline(len(pkts)) {
-		sr := &e.shardRes[0]
-		sr.fireIdx = sr.fireIdx[:0]
-		sr.fireClass = sr.fireClass[:0]
-		sr.fireOuts = sr.fireOuts[:0]
-		start := time.Now()
-		e.noteWait(e.selfSlot(), 0)
-		e.noteDepth(0)
-		e.runTask(shardTask{pkts: pkts, idx: e.seqIdx(len(pkts))})
-		e.note(e.selfSlot(), len(pkts), time.Since(start))
-		// Single staging buffer: fires are already in packet order.
-		n := len(sr.fireIdx)
-		e.noteFires(n)
-		res := make([]PacketResult, 0, n)
-		for k := 0; k < n; k++ {
-			res = append(res, PacketResult{Pkt: int(sr.fireIdx[k]), Class: int(sr.fireClass[k]), Outs: sr.fireOuts[k*w : (k+1)*w : (k+1)*w]})
+	e.runPackets(pkts)
+	return e.mergeFires(e.shardRes, len(e.out))
+}
+
+// runPackets replays a non-empty batch, inline or as one task per
+// non-empty shard, leaving the machine's and subscribers' fires in
+// their staging — reset first, so a panicked or skipped shard adds
+// none.
+func (e *Engine) runPackets(pkts []PacketIn) {
+	for s := range e.shardRes {
+		e.shardRes[s].reset()
+		for _, sub := range e.subs {
+			sub.res[s].reset()
 		}
-		return res
 	}
-	e.submitPackets(pkts)
-	e.waitBatch()
+	if e.inline(len(pkts)) {
+		e.runInline(shardTask{pkts: pkts, idx: e.seqIdx(len(pkts))})
+	} else {
+		e.submitPackets(pkts)
+		e.waitBatch()
+	}
 	n := 0
-	for s := 0; s < e.shards; s++ {
+	for s := range e.shardRes {
 		n += len(e.shardRes[s].fireIdx)
 	}
 	e.noteFires(n)
-	// Packet-order merge: repeatedly take the shard whose next staged
-	// fire has the smallest packet index. O(shards) per fire with shards
-	// bounded by the pool budget.
-	res := make([]PacketResult, 0, n)
-	for s := range e.mergeCur {
-		e.mergeCur[s] = 0
+}
+
+// mergeFires returns the fires staged in res (per shard, w outputs
+// each) in packet order, nil when none fired: take the shard whose next
+// fire has the smallest packet index, O(shards) per fire. Outs alias
+// the staging.
+func (e *Engine) mergeFires(res []shardRes, w int) []PacketResult {
+	n := 0
+	for s := range res {
+		n += len(res[s].fireIdx)
 	}
-	for len(res) < n {
+	if n == 0 {
+		return nil
+	}
+	out := make([]PacketResult, 0, n)
+	cur := e.mergeCur
+	clear(cur)
+	for len(out) < n {
 		bs := -1
 		var bi int32
-		for s := 0; s < e.shards; s++ {
-			sr := &e.shardRes[s]
-			if e.mergeCur[s] < len(sr.fireIdx) {
-				if v := sr.fireIdx[e.mergeCur[s]]; bs < 0 || v < bi {
+		for s := range res {
+			if sr := &res[s]; cur[s] < len(sr.fireIdx) {
+				if v := sr.fireIdx[cur[s]]; bs < 0 || v < bi {
 					bs, bi = s, v
 				}
 			}
 		}
-		sr := &e.shardRes[bs]
-		k := e.mergeCur[bs]
-		e.mergeCur[bs]++
-		res = append(res, PacketResult{Pkt: int(bi), Class: int(sr.fireClass[k]), Outs: sr.fireOuts[k*w : (k+1)*w : (k+1)*w]})
+		sr, k := &res[bs], cur[bs]
+		cur[bs]++
+		out = append(out, PacketResult{Pkt: int(bi), Class: int(sr.fireClass[k]), Outs: sr.fireOuts[k*w : (k+1)*w : (k+1)*w]})
 	}
-	return res
+	return out
 }
 
 // RunPacketStream replays a stream of raw packets: packets are drained
@@ -998,7 +1039,6 @@ func (e *Engine) runPacketShard(s int, pkts []PacketIn, idx []int) {
 	sr := &e.shardRes[s]
 	interp := e.mode == ExecInterpret
 	hash, fields, fireF := e.meta.Hash, e.meta.Fields, e.meta.Fire
-	out, class := e.out, e.class
 	cut, sliced := e.cut, e.split.PerFire > 0
 	rmw0 := phvRMWs(phvs)
 	for _, i := range idx {
@@ -1021,34 +1061,52 @@ func (e *Engine) runPacketShard(s int, pkts []PacketIn, idx []int) {
 		if !fire && sliced {
 			continue
 		}
-		if !interp {
-			e.plans[0].processRange(phv, cut, len(e.plans[0].procs))
-		}
-		for k := 1; k < len(e.progs); k++ {
-			next := phvs[k]
-			next.Reset()
-			br := &e.bridges[k-1]
-			for b, from := range br.From {
-				next.Set(br.To[b], phv.Get(from))
-			}
-			if interp {
-				e.progs[k].Process(next)
-			} else {
-				e.plans[k].Process(next)
-			}
-			phv = next
-		}
-		if !fire {
-			continue
-		}
-		vals = phv.Vals
-		sr.fireIdx = append(sr.fireIdx, int32(i))
-		sr.fireClass = append(sr.fireClass, vals[class])
-		for _, f := range out {
-			sr.fireOuts = append(sr.fireOuts, vals[f])
+		last := e.runChain(phvs, cut)
+		if fire {
+			sr.stage(int32(i), last.Vals, e.class, e.out)
 		}
 	}
 	sr.regRMWs.Add(phvRMWs(phvs) - rmw0)
+}
+
+// runWindow loads one window into the chain's input fields, runs the
+// whole chain and returns the last pipe's PHV values.
+func (e *Engine) runWindow(phvs []*PHV, in []int32) []int32 {
+	vals := phvs[0].Vals
+	clear(vals)
+	for d, f := range e.in {
+		vals[f] = in[d]
+	}
+	return e.runChain(phvs, 0).Vals
+}
+
+// runChain runs pipe 0 from plan unit `from` on, then every later pipe
+// behind its bridge, and returns the last pipe's PHV — for window jobs,
+// fired packets' tails and subscribers alike. An interpreter engine runs
+// a pipe as one unit, so its from is 0 or 1.
+func (e *Engine) runChain(phvs []*PHV, from int) *PHV {
+	interp := e.mode == ExecInterpret
+	phv := phvs[0]
+	if !interp {
+		e.plans[0].processRange(phv, from, len(e.plans[0].procs))
+	} else if from == 0 {
+		e.progs[0].Process(phv)
+	}
+	for k := 1; k < len(e.progs); k++ {
+		next := phvs[k]
+		next.Reset()
+		br := &e.bridges[k-1]
+		for b, f := range br.From {
+			next.Set(br.To[b], phv.Get(f))
+		}
+		if interp {
+			e.progs[k].Process(next)
+		} else {
+			e.plans[k].Process(next)
+		}
+		phv = next
+	}
+	return phv
 }
 
 // phvRMWs sums the monotonic per-PHV RMW counters of one shard's pipe
@@ -1071,36 +1129,10 @@ func phvRMWs(phvs []*PHV) uint64 {
 func (e *Engine) runShard(s int, jobs []Job, res []Result, dense []int32, idx []int) {
 	phvs := e.phvs[s]
 	stride := len(e.out) + 1
-	interp := e.mode == ExecInterpret
-	inF, out, class := e.in, e.out, e.class
+	out, class := e.out, e.class
 	rmw0 := phvRMWs(phvs)
 	for k, i := range idx {
-		phv := phvs[0]
-		vals, in := phv.Vals, jobs[i].In // hoisted as in runPacketShard
-		clear(vals)
-		for d, f := range inF {
-			vals[f] = in[d]
-		}
-		if interp {
-			e.progs[0].Process(phv)
-		} else {
-			e.plans[0].Process(phv)
-		}
-		for p := 1; p < len(e.progs); p++ {
-			next := phvs[p]
-			next.Reset()
-			br := &e.bridges[p-1]
-			for b, from := range br.From {
-				next.Set(br.To[b], phv.Get(from))
-			}
-			if interp {
-				e.progs[p].Process(next)
-			} else {
-				e.plans[p].Process(next)
-			}
-			phv = next
-		}
-		rec, vals := dense[k*stride:(k+1)*stride:(k+1)*stride], phv.Vals
+		rec, vals := dense[k*stride:(k+1)*stride:(k+1)*stride], e.runWindow(phvs, jobs[i].In)
 		rec[0] = vals[class]
 		for d, f := range out {
 			rec[1+d] = vals[f]

@@ -1,17 +1,21 @@
 package pisa
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// Fanout is the physically-shared-extraction session group: ONE
+// Fanout is the physically-shared-extraction group: ONE
 // packet-configured extraction engine owns the flow-state registers and
-// executes each packet's register RMWs exactly once, and every
-// materialised feature window is handed to each subscribed classifier
-// session as an ordinary job batch. Subscribers are pure-combinational
-// sessions — window in-fields to class/outputs, no register bank of
-// their own — so they keep their individual mailbox rings, stride
-// weights, shed policies and per-session stats on the shared scheduler,
-// while the per-packet stateful work that N private preludes would
-// duplicate is paid once.
+// executes each packet's register RMWs exactly once, and each
+// subscribed engine — a pure-combinational chain from window in-fields
+// to class/outputs — classifies every window it fires. Subscribers run
+// inside the machine's shard tasks (see Engine), so a batch is one
+// dispatch, accounted (tasks, busy, wait) on the machine's session. A
+// subscriber's plans are shared read-only and its session still serves
+// window jobs, where its weight and shed policy apply; its stats count
+// exactly the windows it classified. A panicking subscriber plan
+// poisons that subscriber alone, which is skipped from then on.
 //
 // The fan-out is bit-identical to running each subscriber's fused
 // private-prelude engine on the same trace: the extraction program is
@@ -21,12 +25,10 @@ import "sync"
 type Fanout struct {
 	ext *Engine
 
-	// mu serializes RunPackets against Subscribe/Detach/Swap; the
-	// extraction engine's single-outstanding-run contract is inherited
-	// through it.
-	mu   sync.Mutex
-	subs []*Engine
-	jobs []Job // reused window-job staging, aliasing ext's fire buffers
+	// mu serializes RunPackets against Subscribe/Detach/Swap (ext.subs
+	// changes only under it); the extraction engine's
+	// single-outstanding-run contract is inherited through it.
+	mu sync.Mutex
 }
 
 // NewFanout wraps a packet-configured extraction engine (built from a
@@ -42,10 +44,10 @@ func NewFanout(ext *Engine) *Fanout {
 // Extraction returns the shared extraction engine (stats, ResetState).
 func (f *Fanout) Extraction() *Engine { return f.ext }
 
-// Subscribe attaches a classifier session: every window the shared
-// machine fires from now on is also submitted to e. The subscriber must
-// consume the extraction program's output fields as its input fields
-// (core.SharedExtraction emissions guarantee this) and must be
+// Subscribe attaches a classifier engine: every window the shared
+// machine fires from now on is also classified by e. The subscriber
+// must consume the extraction program's output fields as its input
+// fields (core.SharedExtraction emissions guarantee this) and must be
 // stateless — a register bank on a subscriber would see only fired
 // windows, not every packet, and silently diverge from its private
 // form.
@@ -56,7 +58,7 @@ func (f *Fanout) Subscribe(e *Engine) {
 		}
 	}
 	f.mu.Lock()
-	f.subs = append(f.subs, e)
+	f.ext.subs = append(f.ext.subs, newSubscriber(e, f.ext.shards))
 	f.mu.Unlock()
 }
 
@@ -69,13 +71,8 @@ func (f *Fanout) Subscribe(e *Engine) {
 func (f *Fanout) Detach(e *Engine) (last bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i, s := range f.subs {
-		if s == e {
-			f.subs = append(f.subs[:i], f.subs[i+1:]...)
-			break
-		}
-	}
-	if len(f.subs) == 0 {
+	f.ext.subs = slices.DeleteFunc(f.ext.subs, func(s *subscriber) bool { return s.e == e })
+	if len(f.ext.subs) == 0 {
 		f.ext.ResetState()
 		return true
 	}
@@ -89,35 +86,44 @@ func (f *Fanout) Detach(e *Engine) (last bool) {
 func (f *Fanout) SwapSubscriber(old, next *Engine) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i, s := range f.subs {
-		if s == old {
-			f.subs[i] = next
+	for i, s := range f.ext.subs {
+		if s.e == old {
+			f.ext.subs[i] = newSubscriber(next, f.ext.shards)
 			return true
 		}
 	}
 	return false
 }
 
-// Subscribers returns a snapshot of the attached sessions, in
+// Subscribers returns a snapshot of the attached engines, in
 // subscription order.
 func (f *Fanout) Subscribers() []*Engine {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]*Engine(nil), f.subs...)
+	return f.engines()
+}
+
+// engines lists the subscribed engines; the caller holds mu.
+func (f *Fanout) engines() []*Engine {
+	engs := make([]*Engine, len(f.ext.subs))
+	for i, s := range f.ext.subs {
+		engs[i] = s.e
+	}
+	return engs
 }
 
 // RunPackets replays a raw-packet batch through the shared extraction
-// machine ONCE — every packet pays its register RMWs exactly once, on
-// the extraction session — and fans each fired window out to every
-// subscriber as one job batch. Results are returned per subscriber (in
+// machine ONCE — every packet pays its register RMWs exactly once — and
+// returns each subscriber's classifications of the fired windows (in
 // subscription order), each in packet order with Pkt indexing into
-// pkts; a subscriber's Outs alias its batch arena and stay valid until
-// its next submission, matching RunBatch semantics. Flow state persists
-// across calls (ResetState on the extraction engine starts a fresh
-// trace); calls must not overlap.
+// pkts. A poisoned subscriber's row is nil. Outs alias per-subscriber
+// staging that the next call overwrites, matching the machine's own
+// RunPackets. Flow state persists across calls (ResetState on the
+// extraction engine starts a fresh trace); calls must not overlap.
 func (f *Fanout) RunPackets(pkts []PacketIn) [][]PacketResult {
-	_, out := f.RunPacketsAligned(pkts)
-	return out
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.run(pkts)
 }
 
 // RunPacketsAligned is RunPackets plus the subscriber snapshot the
@@ -126,33 +132,62 @@ func (f *Fanout) RunPackets(pkts []PacketIn) [][]PacketResult {
 func (f *Fanout) RunPacketsAligned(pkts []PacketIn) ([]*Engine, [][]PacketResult) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	subs := append([]*Engine(nil), f.subs...)
-	fires := f.ext.RunPackets(pkts)
-	out := make([][]PacketResult, len(f.subs))
-	if len(fires) == 0 {
-		return subs, out
+	return f.engines(), f.run(pkts)
+}
+
+// run is one machine run plus one packet-order merge per healthy
+// subscriber; the caller holds mu.
+func (f *Fanout) run(pkts []PacketIn) [][]PacketResult {
+	subs := f.ext.subs
+	rows := make([][]PacketResult, len(subs))
+	if len(pkts) == 0 {
+		return rows
 	}
-	// The shared jobs alias the extraction engine's fire staging: stable
-	// until its NEXT RunPackets, and every subscriber batch completes
-	// below, inside this call.
-	jobs := f.jobs[:0]
-	for _, r := range fires {
-		jobs = append(jobs, Job{Hash: pkts[r.Pkt].Hash, In: r.Outs})
-	}
-	f.jobs = jobs
-	// Submit to ALL subscribers before waiting on any: the scheduler
-	// serves the sessions concurrently under its stride weights.
-	pend := make([]*Pending, len(f.subs))
-	for i, sub := range f.subs {
-		pend[i] = sub.SubmitBatch(jobs)
-	}
-	for i, p := range pend {
-		res := p.Wait()
-		rs := make([]PacketResult, len(res))
-		for k := range res {
-			rs[k] = PacketResult{Pkt: fires[k].Pkt, Class: res[k].Class, Outs: res[k].Outs}
+	f.ext.runPackets(pkts)
+	for i, s := range subs {
+		if s.e.poisoned.Load() != nil {
+			continue
 		}
-		out[i] = rs
+		rows[i] = f.ext.mergeFires(s.res, len(s.e.out))
+		s.e.stats[s.e.selfSlot()].packets.Add(uint64(len(rows[i])))
 	}
-	return subs, out
+	return rows
+}
+
+// subscriber is one fan-out subscriber: its engine (plans and fields,
+// read-only here) plus a PHV chain and a fire staging per MACHINE shard,
+// so a machine task writes nothing the subscriber's own session or
+// another machine shard writes.
+type subscriber struct {
+	e    *Engine
+	phvs [][]*PHV   // [machine shard][pipe]
+	res  []shardRes // [machine shard]
+}
+
+func newSubscriber(e *Engine, shards int) *subscriber {
+	s := &subscriber{e: e, phvs: make([][]*PHV, shards), res: make([]shardRes, shards)}
+	for sh := range s.phvs {
+		s.phvs[sh] = e.newPHVs()
+	}
+	return s
+}
+
+// run classifies the windows machine shard sh has just staged in src
+// (w values each) into the subscriber's staging for that shard. A panic
+// poisons the subscriber alone; a poisoned subscriber is skipped.
+func (s *subscriber) run(src *shardRes, w, sh int) {
+	e := s.e
+	if e.poisoned.Load() != nil {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			e.poison(r)
+		}
+	}()
+	e.faults()
+	phvs, dst := s.phvs[sh], &s.res[sh]
+	for k, pkt := range src.fireIdx {
+		dst.stage(pkt, e.runWindow(phvs, src.fireOuts[k*w:(k+1)*w]), e.class, e.out)
+	}
 }

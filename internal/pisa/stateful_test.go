@@ -134,12 +134,14 @@ func TestStatefulDifferential(t *testing.T) {
 	}
 }
 
-// slicedChain is a packet program chain plus the handles a packet engine
-// needs, as built by the fire-slicing tests.
+// slicedChain is a program chain plus the handles an engine needs, as
+// built by the fire-slicing and fan-out tests: meta for packet chains,
+// in for window chains.
 type slicedChain struct {
 	progs   []*Program
 	bridges []Bridge
 	meta    PacketMeta
+	in      []FieldID
 	outs    []FieldID
 	class   FieldID
 }
@@ -371,23 +373,7 @@ func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChai
 	io := tailIO{sel: sel, val: val, fire: fire, src: append(append([]FieldID{}, st...), outs...), outs: outs, class: class}
 	addRandTail(rng, prog, stage, io, 2+rng.Intn(5), lead)
 	if pipes == 2 {
-		var l2 Layout
-		io2 := tailIO{sel: l2.MustAdd("sel", 8), val: l2.MustAdd("val", 16), fire: l2.MustAdd("fire", 8)}
-		br := Bridge{From: []FieldID{sel, val, fire}, To: []FieldID{io2.sel, io2.val, io2.fire}}
-		for i, f := range io.src {
-			in := l2.MustAdd(nm("in", i), 32)
-			io2.src = append(io2.src, in)
-			br.From, br.To = append(br.From, f), append(br.To, in)
-		}
-		for i := 0; i < 4; i++ {
-			io2.outs = append(io2.outs, l2.MustAdd(nm("out", i), 32))
-		}
-		io2.src = append(io2.src, io2.outs...)
-		io2.class = l2.MustAdd("class", 8)
-		p2 := NewProgram("sliced-fuzz-pipe1", &l2, big)
-		addRandTail(rng, p2, 0, io2, 2+rng.Intn(5), 0)
-		c.progs, c.bridges = append(c.progs, p2), []Bridge{br}
-		c.outs, c.class = io2.outs, io2.class
+		addBridgedPipe(rng, &c, io)
 	}
 	for _, p := range c.progs {
 		if err := p.Validate(); err != nil {
@@ -395,6 +381,29 @@ func randSlicedChain(t *testing.T, rng *rand.Rand, slots, pipes int) (slicedChai
 		}
 	}
 	return c, units, families
+}
+
+// addBridgedPipe appends a register-free second pipe to the one-pipe
+// chain c: a random tail over io's fields carried across a bridge,
+// which then holds the chain's outputs and class.
+func addBridgedPipe(rng *rand.Rand, c *slicedChain, io tailIO) {
+	var l2 Layout
+	io2 := tailIO{sel: l2.MustAdd("sel", 8), val: l2.MustAdd("val", 16), fire: l2.MustAdd("fire", 8)}
+	br := Bridge{From: []FieldID{io.sel, io.val, io.fire}, To: []FieldID{io2.sel, io2.val, io2.fire}}
+	for i, f := range io.src {
+		in := l2.MustAdd(nm("in", i), 32)
+		io2.src = append(io2.src, in)
+		br.From, br.To = append(br.From, f), append(br.To, in)
+	}
+	for i := 0; i < 4; i++ {
+		io2.outs = append(io2.outs, l2.MustAdd(nm("out", i), 32))
+	}
+	io2.src = append(io2.src, io2.outs...)
+	io2.class = l2.MustAdd("class", 8)
+	p2 := NewProgram(c.progs[0].Name+"-pipe1", &l2, Tofino2.Pipes(4))
+	addRandTail(rng, p2, 0, io2, 2+rng.Intn(5), 0)
+	c.progs, c.bridges = append(c.progs, p2), []Bridge{br}
+	c.outs, c.class = io2.outs, io2.class
 }
 
 // firesAndState is everything a packet replay leaves behind.

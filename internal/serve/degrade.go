@@ -58,10 +58,12 @@ type GatedVerdict struct {
 // GatedModel is the serve-level handle of a two-stage gated deployment
 // (the §7.4 AutoEncoder-gate + classifier pair): a cheap gate model
 // screens every window and a classifier labels the windows the gate
-// passes. Unlike models.GatedPipeline — a standalone replay harness —
-// a GatedModel lives inside a Server: both stages are admitted,
-// metered, swappable and tunable like any other model, and the
-// forwarding edge between them carries the degrade policy.
+// passes. Unlike models.GatedPipeline — a replay harness in which both
+// programs subscribe to one shared extraction machine and every window
+// reaches both — a GatedModel lives inside a Server: both stages are
+// admitted, metered, swappable and tunable like any other model, the
+// gate's window output is forwarded to the classifier as window jobs,
+// and that forwarding edge carries the degrade policy.
 type GatedModel struct {
 	gate *Model
 	cls  *Model

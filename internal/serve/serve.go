@@ -713,18 +713,24 @@ func (m *Model) RunCtx(ctx context.Context, jobs []pisa.Job) ([]pisa.Result, err
 
 // RunPackets replays raw packets through the live version's extraction
 // machine (registration must have carried an extraction emission or a
-// shared-extraction binding). Models subscribed to a physically shared
-// machine route through its fan-out: the machine pays each packet's
-// register RMWs once and every co-subscriber classifies the fired
-// windows (see runSharedPackets). Canary swaps do not mirror the
-// packet path: extraction state is per-session and a shadow replay
-// would fire on different window boundaries — canary scoring applies
-// to the batch path only.
+// shared-extraction binding). A subscriber of a physically shared
+// machine runs its fan-out — every co-subscriber classifies the fired
+// windows — and receives its own row, holding only its own runMu (which
+// orders the run against its swap cutover) and then the fan-out's lock.
+// Canary swaps do not mirror the packet path: extraction state is
+// per-session and a shadow replay would fire on different window
+// boundaries — canary scoring applies to the batch path only.
 func (m *Model) RunPackets(pkts []pisa.PacketIn) []pisa.PacketResult {
-	if m.shared != nil {
-		return m.runSharedPackets(pkts)
-	}
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
-	return m.cur.eng.RunPackets(pkts)
+	if m.shared == nil {
+		return m.cur.eng.RunPackets(pkts)
+	}
+	engs, res := m.shared.fan.RunPacketsAligned(pkts)
+	for i, e := range engs {
+		if e == m.cur.eng {
+			return res[i]
+		}
+	}
+	return nil
 }

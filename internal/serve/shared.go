@@ -12,10 +12,13 @@ import (
 // one standalone extraction machine: the server brings the machine's
 // session up on first subscription, attaches every later subscriber to
 // the same pisa.Fanout, and routes their RunPackets through it — each
-// packet's register RMWs execute once on the machine regardless of how
-// many models are co-resident. Unregister and Swap detach/replace
-// subscribers without touching the shared flow state; only when the
-// LAST subscriber leaves is the machine reset and its session released.
+// packet's register RMWs execute once on the machine, and every
+// subscriber's plans run inside the machine's shard tasks, regardless of
+// how many models are co-resident. A subscriber's own session still
+// serves its window jobs (Model.Run), where its weight, SLO and shed
+// policy apply. Unregister and Swap detach/replace subscribers without
+// touching the shared flow state; only when the LAST subscriber leaves
+// is the machine reset and its session released.
 
 // sharedMachine is one physical extraction machine on the server: the
 // standalone extraction session plus the fan-out handing fired windows
@@ -95,46 +98,6 @@ func (s *Server) detachShared(m *Model) {
 		// again: its session is quiescent.
 		mach.eng.Close()
 	}
-}
-
-// runSharedPackets replays raw packets through the model's shared
-// extraction machine. The machine executes each packet's register RMWs
-// exactly once and EVERY subscriber classifies the fired windows — a
-// physical fan-out reaches all co-resident models, and their
-// per-session stats count the work — but the caller receives this
-// model's results only. Every subscriber's submission lock is held in
-// subscription order for the duration: the fan-out submits to the
-// co-subscribers' sessions directly, and each engine's single-
-// outstanding-batch contract must hold.
-func (m *Model) runSharedPackets(pkts []pisa.PacketIn) []pisa.PacketResult {
-	s := m.srv
-	mach := m.shared
-	s.mu.Lock()
-	subs := make([]*Model, 0, len(mach.subs))
-	for _, n := range mach.subs {
-		if sm := s.models[n]; sm != nil {
-			subs = append(subs, sm)
-		}
-	}
-	s.mu.Unlock()
-	for _, sm := range subs {
-		sm.runMu.Lock()
-	}
-	defer func() {
-		for _, sm := range subs {
-			sm.runMu.Unlock()
-		}
-	}()
-	m.stateMu.RLock()
-	cur := m.cur.eng
-	m.stateMu.RUnlock()
-	engs, res := mach.fan.RunPacketsAligned(pkts)
-	for i, e := range engs {
-		if e == cur {
-			return res[i]
-		}
-	}
-	return nil
 }
 
 // SharedMachine reports the model's physical extraction binding: the

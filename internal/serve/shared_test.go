@@ -169,6 +169,13 @@ func TestSharedMachineLifecycle(t *testing.T) {
 		if md.SharedMachine == "" {
 			t.Fatalf("subscriber %s reports no shared machine", md.Name)
 		}
+		// Every subscriber classified each fired window once, inside the
+		// machine's tasks: its row counts exactly those windows, and the
+		// tasks are the machine's.
+		if md.Packets != nFlows || md.Tasks != 0 {
+			t.Fatalf("subscriber %s counts %d windows in %d tasks, want %d windows and no tasks of its own",
+				md.Name, md.Packets, md.Tasks, nFlows)
+		}
 	}
 
 	// Detach one subscriber: the shared registers are untouched, so the
@@ -207,6 +214,45 @@ func TestSharedMachineLifecycle(t *testing.T) {
 	}
 	if res := md.RunPackets(seqPackets(nFlows, 4, 28)); len(res) != nFlows {
 		t.Fatalf("fresh tenant fired %d windows over a full window, want %d", len(res), nFlows)
+	}
+}
+
+// TestTuneOnceLeavesTaskLessSubscriber pins that a subscriber whose
+// windows are classified inside the machine's tasks — it serves no task
+// of its own, so it has no busy time or wait to tune on — keeps its
+// weight through a tuner pass that does move a private co-resident
+// model off target.
+func TestTuneOnceLeavesTaskLessSubscriber(t *testing.T) {
+	s := newTestServer(t)
+	shared := seqMachine(t)
+	sub, err := s.Register("m-sub", sharedSubscriber(t, "sub", shared, 1), 3, SLO{TargetShare: 0.5, MaxWait: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	priv, err := s.Register("m-priv", statelessEmission(t, "priv", 1, 1), 4, SLO{TargetShare: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := sub.RunPackets(seqPackets(8, 8, 0)); len(res) != 8 {
+		t.Fatalf("subscriber classified %d windows, want 8", len(res))
+	}
+	jobs := make([]pisa.Job, 64)
+	for i := range jobs {
+		jobs[i] = pisa.Job{Hash: uint32(i), In: []int32{int32(i)}}
+	}
+	priv.Run(jobs)
+	moved := map[string]bool{}
+	for _, d := range s.TuneOnce() {
+		moved[d.Model] = true
+	}
+	if !moved["m-priv"] {
+		t.Fatal("tuner did not move the private model, which holds all the busy time against a 0.25 target")
+	}
+	if moved["m-sub"] || sub.Weight() != 3 {
+		t.Fatalf("tuner moved the task-less subscriber's weight to %d", sub.Weight())
+	}
+	if st := sub.Stats(); st.Tasks != 0 || st.Packets != 8 {
+		t.Fatalf("subscriber stats %d tasks / %d windows, want 0 / 8", st.Tasks, st.Packets)
 	}
 }
 
@@ -289,9 +335,11 @@ func TestSwapSharedSubscriber(t *testing.T) {
 }
 
 // TestSharedFanoutRace drives one machine's fan-out from two subscriber
-// models concurrently while a third goroutine scrapes metrics and a
-// fourth live-swaps a subscriber — the -race CI run holds the lock
-// discipline (runMu in subscription order, then fan.mu) to account.
+// models concurrently while a third goroutine scrapes metrics, a fourth
+// live-swaps a subscriber and a fifth serves window jobs on m-a's own
+// session while m-b's fan-out runs m-a's plans — the -race CI run holds
+// the lock discipline (the running model's own runMu, then fan.mu) and
+// the per-subscriber PHVs to account.
 func TestSharedFanoutRace(t *testing.T) {
 	s := newTestServer(t)
 	shared := seqMachine(t)
@@ -322,6 +370,23 @@ func TestSharedFanoutRace(t *testing.T) {
 			if len(snap.Machines) != 1 {
 				t.Errorf("snapshot saw %d machines", len(snap.Machines))
 				return
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		jobs := make([]pisa.Job, 16)
+		for i := range jobs {
+			jobs[i] = pisa.Job{Hash: uint32(i), In: make([]int32, len(shared.Em.OutFields))}
+			jobs[i].In[0] = int32(i)
+		}
+		for i := 0; i < iters; i++ {
+			for k, r := range ma.Run(jobs) {
+				if r.Class != k+1 { // Σ window + bias 1
+					t.Errorf("window job %d classified %d, want %d", k, r.Class, k+1)
+					return
+				}
 			}
 		}
 	}()

@@ -76,7 +76,8 @@
 // capacity (models sharing an extraction spec are charged one
 // extraction machine); the §7.4 scenario — an unknown-attack
 // AutoEncoder whose on-switch reconstruction-error gate screens every
-// window before a classifier labels it — ships as GatedPipeline:
+// window before a classifier labels it — ships as GatedPipeline, both
+// programs subscribers of one shared extraction machine:
 //
 //	gated, _ := pegasus.NewGatedPipeline(ae, cnnb, threshold)
 //	_ = gated.Emit(1<<16, pegasus.Tofino2.Pipes(2)) // combined budget check
@@ -84,10 +85,12 @@
 //	defer sched.Close()
 //	results, _ := gated.Run(pegasus.Merge(test), sched, pegasus.ExecCompiled)
 //
-// Raw merged traces go in; each completed window comes back with the
-// gate verdict, the integer MAE score and — for windows the gate passed
-// — the classifier's label, bit-identical to running the two emitted
-// programs sequentially on the host.
+// Raw merged traces go in; the machine pays each packet's register
+// RMWs once and its shard tasks run the gate and the classifier on
+// every window it fires. Each window comes back with the gate verdict,
+// the integer MAE score and — for windows the gate passed — the
+// classifier's label, bit-identical to host-side window extraction
+// followed by running the two emitted programs sequentially.
 //
 // # Serving control plane
 //
@@ -445,11 +448,12 @@ var (
 type (
 	// SharedExtraction is an emitted standalone extraction machine that
 	// co-resident models subscribe to (Feedforward.EmitShared,
-	// RNNB.EmitShared, AutoEncoder.EmitGatedShared).
+	// RNNB.EmitShared, and AutoEncoder.EmitGatedShared — the gate
+	// GatedPipeline.Emit deploys).
 	SharedExtraction = core.SharedExtraction
-	// ExtractionFanout owns a shared machine's engine session and
-	// dispatches each fired window to every subscribed engine
-	// (Subscribe/Detach/SwapSubscriber manage the subscriber set).
+	// ExtractionFanout owns a shared machine's engine session, whose
+	// shard tasks run every subscribed engine's plans over the windows
+	// they fire (Subscribe/Detach/SwapSubscriber manage the set).
 	ExtractionFanout = pisa.Fanout
 	// DeployedMachine is one physical extraction machine in a
 	// Deployment's report: its spec, resources and subscriber models.
@@ -467,7 +471,7 @@ var (
 	// zoo uses for a shared machine of the given kind.
 	SharedWindowSpec = models.SharedWindowSpec
 	// NewFanout wraps a shared extraction machine's packet engine for
-	// fan-out to subscriber engines on the same scheduler.
+	// fan-out to register-free subscriber engines.
 	NewFanout = pisa.NewFanout
 )
 
