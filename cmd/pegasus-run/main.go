@@ -7,7 +7,6 @@
 //
 //	pegasus-run -dataset PeerRush -model cnn-m -flows 60 -workers 8
 //	pegasus-run -model mlp-b -target tofino-multipipe
-//	pegasus-run -model cnn-b -stream            # stream pre-extracted windows (RunStream)
 //	pegasus-run -model cnn-b -packets           # raw-trace replay: per-packet extraction on the switch
 //	pegasus-run -model cnn-b -mode interpret    # reference interpreter baseline
 //	pegasus-run -models mlp-b,rnn-b             # multi-model serving: one shared-budget scheduler
@@ -15,14 +14,14 @@
 //	pegasus-run -models mlp-b,cnn-b -metrics-addr 127.0.0.1:9090  # + JSON metrics endpoint
 //	pegasus-run -models mlp-b,cnn-b -deadline 2ms -max-queue 4    # overload protection: shed instead of queueing
 //	pegasus-run -models mlp-b,cnn-b -canary 0.25 -canary-window 500ms  # live canary swap of the first model
-//	pegasus-run -model cnn-m -gen 500000        # sustained generated stream (trafficgen) through RunStream
 //
-// Two replay granularities exist. The default (and -stream, its
-// streaming variant) feeds pre-extracted feature windows to the engine
-// — the extraction happened on the host. -packets instead feeds the
+// Two replay granularities exist. The default feeds pre-extracted
+// feature windows to the engine in one batch (RunBatch) — the
+// extraction happened on the host. -packets instead feeds the
 // raw merged packet trace: the emitted program's own flow-state
 // registers perform the Table-6 feature extraction per packet and
-// inference fires only on window boundaries.
+// inference fires only on window boundaries (RunPackets). Sustained
+// throughput under generated load is the benchmark's job (bench/).
 package main
 
 import (
@@ -47,7 +46,6 @@ import (
 	"github.com/pegasus-idp/pegasus/internal/netsim"
 	"github.com/pegasus-idp/pegasus/internal/pisa"
 	"github.com/pegasus-idp/pegasus/internal/serve"
-	"github.com/pegasus-idp/pegasus/internal/trafficgen"
 )
 
 func main() {
@@ -59,7 +57,6 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "replay engine workers (flow-hash shards)")
 	target := flag.String("target", "", "emission target: "+strings.Join(core.TargetNames(), ", ")+" (default tofino)")
 	mode := flag.String("mode", "compiled", "engine execution mode: compiled (zero-alloc plans) or interpret (reference tables)")
-	stream := flag.Bool("stream", false, "stream PRE-EXTRACTED feature windows through RunStream instead of one batch (host-side extraction; see -packets for the raw-trace path)")
 	packets := flag.Bool("packets", false, "replay the RAW merged packet trace: the emitted program's registers extract features per packet and fire inference on window boundaries")
 	multi := flag.String("models", "", "comma-separated models (mlp-b,cnn-b,cnn-m,rnn-b) served CONCURRENTLY through the serving control plane (admission-checked, SLO-tuned), with per-model packets/s")
 	metricsAddr := flag.String("metrics-addr", "", "with -models: serve the control plane's JSON metrics endpoint on this address (e.g. 127.0.0.1:9090, or :0 for an ephemeral port) and print a snapshot after the run")
@@ -67,8 +64,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "with -models: shed a model's batch when at least this many other sessions are queued at its workers (0 = unbounded)")
 	canary := flag.Float64("canary", 0, "with -models: after the run warms up, canary-swap the FIRST model to a re-emitted version mirroring this fraction of its traffic, auto-promoting or auto-rolling-back")
 	canaryWindow := flag.Duration("canary-window", time.Second, "with -canary: decision window for the canary verdict")
-	gen := flag.Int("gen", 0, "stream this many GENERATED feature windows (internal/trafficgen, steady-state flow churn) through RunStream instead of replaying the test trace")
-	genFlows := flag.Int("gen-flows", 1<<14, "live-flow population held by the -gen traffic generator")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the replay to this path (worker goroutines carry pegasus_worker/pegasus_session pprof labels)")
 	flag.Parse()
 
@@ -153,36 +148,13 @@ func main() {
 
 	// Replay the test set through the emitted program with the
 	// persistent flow-sharded engine — what the switch dataplane would
-	// classify. -stream drives the same pool through RunStream, feeding
-	// packets over a channel instead of one pre-built batch.
+	// classify.
 	xs, ys := m.Extract(test)
 	jobs := core.BatchJobsFromFloats(xs)
 	eng := em.NewEngineMode(*workers, execMode)
 	defer eng.Close()
-	if *gen > 0 {
-		runGenerated(eng, jobs, *gen, *genFlows, *seed, execMode)
-		fmt.Println()
-		fmt.Print(m.Pipeline().DiagString())
-		return
-	}
 	start := time.Now()
-	var res []pisa.Result
-	if *stream {
-		in := make(chan pisa.Job, 256)
-		out := make(chan pisa.Result, 256)
-		go func() {
-			for _, j := range jobs {
-				in <- j
-			}
-			close(in)
-		}()
-		go eng.RunStream(in, out)
-		for r := range out {
-			res = append(res, r)
-		}
-	} else {
-		res = eng.RunBatch(jobs)
-	}
+	res := eng.RunBatch(jobs)
 	elapsed := time.Since(start)
 	hit := 0
 	for i, r := range res {
@@ -190,66 +162,15 @@ func main() {
 			hit++
 		}
 	}
-	how := "batch"
-	if *stream {
-		how = "stream"
-	}
-	fmt.Printf("switch replay:    %d/%d correct (%.4f) over %d packets in %s (%.3g pkt/s, %d workers, %s, %s)\n",
+	fmt.Printf("switch replay:    %d/%d correct (%.4f) over %d packets in %s (%.3g pkt/s, %d workers, %s)\n",
 		hit, len(res), float64(hit)/float64(len(res)), len(res), elapsed.Round(time.Microsecond),
-		float64(len(res))/elapsed.Seconds(), eng.Workers(), execMode, how)
+		float64(len(res))/elapsed.Seconds(), eng.Workers(), execMode)
 	fmt.Printf("                  plan shape: %v\n", eng.PlanShape())
 
 	fmt.Println()
 	fmt.Print(m.Pipeline().DiagString())
 	fmt.Println()
 	fmt.Print(em.Summary())
-}
-
-// runGenerated streams count generated feature windows through
-// RunStream: the input vectors are the real extracted test windows (so
-// the match-table hit profile matches trace replay) but the flow hashes
-// come from trafficgen's churning steady-state population — the stream
-// never repeats and the pool never drains, so the figure is sustained
-// streaming throughput rather than short-trace amortisation.
-func runGenerated(eng *pisa.Engine, templates []pisa.Job, count, flows int, seed int64, execMode pisa.ExecMode) {
-	tmpl := make([][]int32, len(templates))
-	for i := range templates {
-		tmpl[i] = templates[i].In
-	}
-	g := trafficgen.NewJobGen(trafficgen.Config{Seed: seed, Flows: flows}, tmpl)
-	in := make(chan pisa.Job, 1024)
-	out := make(chan pisa.Result, 1024)
-	go func() {
-		// Jobs (not Fill): streamed jobs are in flight beyond the next
-		// refill, so they cannot alias the generator's reused arena.
-		const chunk = 8192
-		for left := count; left > 0; {
-			n := chunk
-			if left < n {
-				n = left
-			}
-			for _, j := range g.Jobs(n) {
-				in <- j
-			}
-			left -= n
-		}
-		close(in)
-	}()
-	busy0 := eng.Stats().Busy
-	start := time.Now()
-	go eng.RunStream(in, out)
-	got := 0
-	for range out {
-		got++
-	}
-	elapsed := time.Since(start)
-	// Busy-share sum over the wall window: ~N on an N-core box means the
-	// workers really ran in parallel; ~1 means the flat worker axis is
-	// the box, not the engine.
-	parallel := (eng.Stats().Busy - busy0).Seconds() / elapsed.Seconds()
-	fmt.Printf("generated stream: %d windows in %s (%.3g pkt/s, %d workers, %.2fx achieved parallelism, %s, %d-flow population)\n",
-		got, elapsed.Round(time.Microsecond), float64(got)/elapsed.Seconds(),
-		eng.Workers(), parallel, execMode, flows)
 }
 
 // runPackets replays the raw merged test trace through the per-packet
@@ -276,34 +197,21 @@ func runPackets(m *models.Feedforward, test []netsim.Flow, workers int, execMode
 
 	eng := emp.NewPacketEngine(workers, execMode)
 	defer eng.Close()
-	in := make(chan pisa.PacketIn, 1024)
-	out := make(chan pisa.PacketResult, 1024)
-	go func() {
-		for _, j := range jobs {
-			in <- j
-		}
-		close(in)
-	}()
-	hit := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := range out {
-			if r.Class == labels[r.Pkt] {
-				hit++
-			}
-		}
-	}()
 	start := time.Now()
-	total, fires := eng.RunPacketStream(in, out)
-	<-done
+	res := eng.RunPackets(jobs)
 	elapsed := time.Since(start)
+	hit, fires := 0, len(res)
+	for _, r := range res {
+		if r.Class == labels[r.Pkt] {
+			hit++
+		}
+	}
 	acc := 0.0
 	if fires > 0 {
 		acc = float64(hit) / float64(fires)
 	}
 	fmt.Printf("packet replay:    %d raw packets in %s (%.3g pkt/s, %d workers, %s)\n",
-		total, elapsed.Round(time.Microsecond), float64(total)/elapsed.Seconds(), eng.Workers(), execMode)
+		len(jobs), elapsed.Round(time.Microsecond), float64(len(jobs))/elapsed.Seconds(), eng.Workers(), execMode)
 	fmt.Printf("                  %d windows fired, %d/%d correct (%.4f) — per-packet register extraction on-switch\n",
 		fires, hit, fires, acc)
 	fmt.Printf("                  plan split: %v\n", eng.PlanSplit())

@@ -165,7 +165,7 @@ func (em *Emitted) NewPacketEngineOn(s *pisa.Scheduler, name string, weight int,
 }
 
 // NewPacketEngine returns an engine configured for raw-packet replay
-// over an extraction emission: RunPackets/RunPacketStream feed packets
+// over an extraction emission: RunPackets/RunPacketsCtx feed packets
 // into the extraction machine's PHV handles, every packet updates the
 // per-flow registers, and an inference result is collected whenever a
 // feature window completes. Panics if the emission has no extraction

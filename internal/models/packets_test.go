@@ -449,9 +449,11 @@ func TestCNNMPlanShapeAndZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPacketStreamMatchesBatch drives the same trace through
-// RunPacketStream and requires the fired results to match RunPackets.
-func TestPacketStreamMatchesBatch(t *testing.T) {
+// TestPacketBatchesMatchWhole replays a real CNN-B trace as uneven
+// RunPackets batches and requires the fired results to match one
+// whole-trace RunPackets: flow windows that straddle a batch boundary
+// fire in the later batch with the same class and outputs.
+func TestPacketBatchesMatchWhole(t *testing.T) {
 	train, test, k := smallDataset(t)
 	rng := rand.New(rand.NewSource(61))
 	flows := packetFlows(t, test, 1<<16)
@@ -468,50 +470,37 @@ func TestPacketStreamMatchesBatch(t *testing.T) {
 	}
 	jobs := PacketJobs(emp, stream)
 
-	eng := emp.NewPacketEngine(4, pisa.ExecCompiled)
-	defer eng.Close()
-	eng.ResetState()
-	want := eng.RunPackets(jobs)
-	// RunPackets results alias the engine's reused output buffer;
-	// detach before the stream path's internal batches overwrite it.
-	wantOuts := make([][]int32, len(want))
-	for i, r := range want {
-		wantOuts[i] = append([]int32(nil), r.Outs...)
-	}
-
-	eng.ResetState()
-	in := make(chan pisa.PacketIn, 64)
-	out := make(chan pisa.PacketResult, 64)
-	go func() {
-		for _, j := range jobs {
-			in <- j
-		}
-		close(in)
-	}()
-	var got []pisa.PacketResult
-	done := make(chan struct{})
-	go func() {
-		for r := range out {
-			got = append(got, r)
-		}
-		close(done)
-	}()
-	pkts, fires := eng.RunPacketStream(in, out)
-	<-done
-	if pkts != len(jobs) || fires != len(want) {
-		t.Fatalf("stream replayed %d packets / %d fires, want %d / %d", pkts, fires, len(jobs), len(want))
-	}
-	for i := range want {
-		if got[i].Pkt != want[i].Pkt || got[i].Class != want[i].Class {
-			t.Fatalf("stream fire %d = (pkt %d, class %d), batch (pkt %d, class %d)",
-				i, got[i].Pkt, got[i].Class, want[i].Pkt, want[i].Class)
-		}
-		// Streamed Outs are detached copies: they must survive all the
-		// micro-batches that ran after they were emitted.
-		for j := range wantOuts[i] {
-			if got[i].Outs[j] != wantOuts[i][j] {
-				t.Fatalf("stream fire %d out[%d] = %d, batch %d (stale buffer aliasing?)",
-					i, j, got[i].Outs[j], wantOuts[i][j])
+	for _, mode := range []pisa.ExecMode{pisa.ExecInterpret, pisa.ExecCompiled} {
+		for _, workers := range []int{1, 4} {
+			eng := emp.NewPacketEngine(workers, mode)
+			eng.ResetState()
+			var got []pisa.PacketResult
+			for lo := 0; lo < len(jobs); {
+				hi := min(len(jobs), lo+1+rng.Intn(97))
+				for _, r := range eng.RunPackets(jobs[lo:hi]) {
+					// Outs alias staging the next call overwrites.
+					r.Pkt += lo
+					r.Outs = append([]int32(nil), r.Outs...)
+					got = append(got, r)
+				}
+				lo = hi
+			}
+			eng.ResetState()
+			want := eng.RunPackets(jobs)
+			eng.Close()
+			if len(want) == 0 || len(got) != len(want) {
+				t.Fatalf("%v w%d: batches fired %d, whole trace %d", mode, workers, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Pkt != want[i].Pkt || got[i].Class != want[i].Class {
+					t.Fatalf("%v w%d fire %d = (pkt %d, class %d), whole (pkt %d, class %d)",
+						mode, workers, i, got[i].Pkt, got[i].Class, want[i].Pkt, want[i].Class)
+				}
+				for j := range want[i].Outs {
+					if got[i].Outs[j] != want[i].Outs[j] {
+						t.Fatalf("%v w%d fire %d out[%d] = %d, whole %d", mode, workers, i, j, got[i].Outs[j], want[i].Outs[j])
+					}
+				}
 			}
 		}
 	}

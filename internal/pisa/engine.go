@@ -57,9 +57,9 @@ func (m ExecMode) String() string {
 // writes its classes and output vectors into a private dense region
 // (cache-line gaps between regions, so two workers never write the
 // same line), and the job-order view is produced by a parallel
-// per-shard scatter (RunBatch) or a cursor merge over the dense
-// regions (RunStream/RunPackets) — no interleaved cross-core writes on
-// the hot loop. Serving stats are likewise striped per worker and only
+// per-shard scatter (RunBatch) or a cursor merge over the shards' fire
+// staging (RunPackets) — no interleaved cross-core writes on the hot
+// loop. Serving stats are likewise striped per worker and only
 // folded together when Stats is read.
 //
 // For the per-flow guarantee to extend to stateful programs, register
@@ -123,7 +123,6 @@ type Engine struct {
 	seq       []int      // reused sequential index for 1-shard batches
 	shardIdx  [][]int    // reused per-shard job index buffers
 	shardRes  []shardRes // reused per-shard dense fire staging (packet path)
-	regionOff []int      // reused per-shard dense arena offsets (job path)
 	mergeCur  []int      // reused per-shard merge cursors
 	closeOnce sync.Once
 
@@ -228,8 +227,8 @@ const densePad = 16
 // indices the shard owns plus the buffers its results land in. dense is
 // the shard's private region of the batch arena (job path; class +
 // outs, stride len(e.out)+1 per job); res is the job-order result slice
-// a trailing per-shard scatter fills (nil for dense-only stream
-// batches). The packet path stages into the engine's shardRes instead.
+// a trailing per-shard scatter fills. The packet path stages into the
+// engine's shardRes instead.
 type shardTask struct {
 	shard int
 	jobs  []Job
@@ -378,7 +377,6 @@ func (s *Scheduler) newSession(name string, weight int, progs []*Program, bridge
 	e.phvs = make([][]*PHV, shards)
 	e.shardIdx = make([][]int, shards)
 	e.shardRes = make([]shardRes, shards)
-	e.regionOff = make([]int, shards)
 	e.mergeCur = make([]int, shards)
 	for sh := range e.phvs {
 		e.phvs[sh] = e.newPHVs()
@@ -584,19 +582,15 @@ func (e *Engine) runInline(t shardTask) {
 	e.note(e.selfSlot(), len(t.idx), time.Since(start))
 }
 
-// shardOf maps a flow hash to its shard.
-func (e *Engine) shardOf(hash uint32) int {
-	return int(hash % uint32(e.shards))
-}
-
-// shardIndices partitions n items by hash into the reused per-shard
-// index buffers and returns the number of non-empty shards.
+// shardIndices partitions n items by flow hash (shard = hash mod
+// shards) into the reused per-shard index buffers and returns the
+// number of non-empty shards.
 func (e *Engine) shardIndices(n int, hash func(int) uint32) int {
 	for s := range e.shardIdx {
 		e.shardIdx[s] = e.shardIdx[s][:0]
 	}
 	for i := 0; i < n; i++ {
-		s := e.shardOf(hash(i))
+		s := int(hash(i) % uint32(e.shards))
 		e.shardIdx[s] = append(e.shardIdx[s], i)
 	}
 	cnt := 0
@@ -639,41 +633,33 @@ func (e *Engine) waitBatch() {
 // submitJobs shards jobs, allocates the batch's dense arena (one
 // cache-line-padded region per non-empty shard, class + outputs
 // interleaved at stride len(e.out)+1), and publishes the shard tasks
-// WITHOUT waiting. res may be nil for dense-only batches (RunStream
-// merges straight from the arena). The arena is freshly allocated per
-// batch — results that alias it (Result.Outs) stay valid after the
-// next submission, preserving the historical retention semantics.
-func (e *Engine) submitJobs(jobs []Job, res []Result) []int32 {
+// WITHOUT waiting. The arena is freshly allocated per batch — results
+// that alias it (Result.Outs) stay valid after the next submission,
+// preserving the historical retention semantics.
+func (e *Engine) submitJobs(jobs []Job, res []Result) {
 	cnt := e.shardIndices(len(jobs), func(i int) uint32 { return jobs[i].Hash })
 	stride := len(e.out) + 1
 	total := 0
-	for s := 0; s < e.shards; s++ {
-		e.regionOff[s] = total
-		if n := len(e.shardIdx[s]); n > 0 {
-			total += n*stride + densePad
+	for _, idx := range e.shardIdx {
+		if len(idx) > 0 {
+			total += len(idx)*stride + densePad
 		}
 	}
 	arena := make([]int32, total)
 	e.armBatch(cnt)
 	now := time.Now()
-	for s := 0; s < e.shards; s++ {
-		idx := e.shardIdx[s]
+	off := 0
+	for s, idx := range e.shardIdx {
 		if len(idx) == 0 {
 			continue
 		}
-		e.sched.publish(e, shardTask{
-			shard: s,
-			jobs:  jobs,
-			res:   res,
-			dense: arena[e.regionOff[s] : e.regionOff[s]+len(idx)*stride],
-			idx:   idx,
-			enq:   now,
-		})
+		n := len(idx) * stride
+		e.sched.publish(e, shardTask{shard: s, jobs: jobs, res: res, dense: arena[off : off+n], idx: idx, enq: now})
+		off += n + densePad
 	}
 	if cnt < e.sched.budget {
 		e.sched.wakeIdle()
 	}
-	return arena
 }
 
 // submitPackets shards a raw-packet batch and publishes the shard tasks
@@ -756,99 +742,8 @@ func (e *Engine) RunBatch(jobs []Job) []Result {
 	return e.SubmitBatch(jobs).Wait()
 }
 
-// RunStream's adaptive micro-batching: the chunk target starts at
-// streamChunk and auto-tunes between the min and max bound. A sustained
-// producer that fills the whole target doubles it — bigger batches
-// amortise sharding and scheduler handoff, which is what worker scaling
-// needs — while a trickling producer that fills under a quarter halves
-// it, keeping latency low on sparse streams.
-const (
-	streamChunkMin = 128
-	streamChunk    = 1024
-	streamChunkMax = 16384
-)
-
-// drainStream drains in into adaptive micro-batches (up to the current
-// auto-tuned chunk target, or whatever is immediately available) and
-// hands each to flush, stopping when in is closed. It returns the total
-// item count.
-func drainStream[T any](in <-chan T, flush func([]T)) int {
-	chunk := streamChunk
-	buf := make([]T, 0, streamChunkMax)
-	total := 0
-	open := true
-	for open {
-		j, ok := <-in
-		if !ok {
-			break
-		}
-		buf = append(buf[:0], j)
-	fill:
-		for len(buf) < chunk {
-			select {
-			case j2, ok2 := <-in:
-				if !ok2 {
-					open = false
-					break fill
-				}
-				buf = append(buf, j2)
-			default:
-				break fill
-			}
-		}
-		switch {
-		case len(buf) == chunk && chunk < streamChunkMax:
-			chunk *= 2
-		case len(buf) <= chunk/4 && chunk > streamChunkMin:
-			chunk /= 2
-		}
-		flush(buf)
-		total += len(buf)
-	}
-	return total
-}
-
-// RunStream replays a stream of jobs: packets are drained from in into
-// adaptive micro-batches and pushed through the worker pool, with
-// results emitted on out in arrival order. Each micro-batch runs
-// dense-only — no job-order result slice — and the in-order emission is
-// a cursor merge over the shards' dense regions (shard = hash mod
-// shards recovers each job's region), so the serial tail is just the
-// channel sends. Emitted Outs alias the batch's freshly allocated
-// arena and are safe to retain. RunStream blocks until in is closed
-// and all results are emitted, then closes out and returns the packet
-// count. Like RunBatch, calls must not overlap with other runs on the
-// same engine.
-func (e *Engine) RunStream(in <-chan Job, out chan<- Result) int {
-	stride := len(e.out) + 1
-	total := drainStream(in, func(buf []Job) {
-		if e.inline(len(buf)) {
-			dense := make([]int32, len(buf)*stride)
-			e.runInline(shardTask{jobs: buf, dense: dense, idx: e.seqIdx(len(buf))})
-			for i := range buf {
-				off := i * stride
-				out <- Result{Class: int(dense[off]), Outs: dense[off+1 : off+stride : off+stride]}
-			}
-			return
-		}
-		arena := e.submitJobs(buf, nil)
-		e.waitBatch()
-		for s := range e.mergeCur {
-			e.mergeCur[s] = 0
-		}
-		for i := range buf {
-			s := e.shardOf(buf[i].Hash)
-			off := e.regionOff[s] + e.mergeCur[s]*stride
-			e.mergeCur[s]++
-			out <- Result{Class: int(arena[off]), Outs: arena[off+1 : off+stride : off+stride]}
-		}
-	})
-	close(out)
-	return total
-}
-
 // ConfigurePackets enables the per-packet replay path: RunPackets and
-// RunPacketStream feed raw packets into meta's fields and collect an
+// RunPacketsCtx feed raw packets into meta's fields and collect an
 // inference result whenever the program raises meta.Fire. The meta
 // fields must live in the first pipe's layout (the extraction state
 // machines of a multi-pipe emission always run in pipe 0).
@@ -986,48 +881,6 @@ func (e *Engine) mergeFires(res []shardRes, w int) []PacketResult {
 	return out
 }
 
-// RunPacketStream replays a stream of raw packets: packets are drained
-// from in into adaptive micro-batches and pushed through RunPackets,
-// with every fired inference emitted on out in arrival order
-// (PacketResult.Pkt numbers packets over the whole stream). RunPackets
-// already merges each micro-batch's per-shard fire staging into packet
-// order, so emission is a straight walk. Emitted Outs are copies, safe
-// to retain while later micro-batches run. It blocks until in is
-// closed and all results are emitted, then closes out and returns the
-// packet and fired-window counts.
-//
-// When a ShedPolicy is set, an over-bound micro-batch is shed whole:
-// its packets are counted in the return value and the session's Shed
-// stats but never touch the flow-state registers and fire nothing —
-// the dataplane analogue of dropping on an overflowing ingress queue.
-// A poisoned session likewise sheds the remainder of the stream
-// instead of producing untrustworthy fires.
-func (e *Engine) RunPacketStream(in <-chan PacketIn, out chan<- PacketResult) (packets, fires int) {
-	done := 0
-	packets = drainStream(in, func(buf []PacketIn) {
-		if e.Poisoned() != nil {
-			e.noteShed(len(buf))
-			done += len(buf)
-			return
-		}
-		if e.admit(nil, len(buf)) != nil {
-			done += len(buf)
-			return
-		}
-		for _, r := range e.RunPackets(buf) {
-			// The engine's staging buffers are reused by the next
-			// micro-batch while the consumer still holds r; detach.
-			r.Pkt += done
-			r.Outs = append([]int32(nil), r.Outs...)
-			out <- r
-			fires++
-		}
-		done += len(buf)
-	})
-	close(out)
-	return packets, fires
-}
-
 // runPacketShard replays the given packet indices in order on shard s's
 // PHVs, appending an inference record to the shard's private fire
 // staging for every packet whose fire field is raised by pipe 0.
@@ -1123,9 +976,9 @@ func phvRMWs(phvs []*PHV) uint64 {
 // chaining each packet through every program of the pipeline. Results
 // land in the shard's private dense region (class + outputs, stride
 // len(e.out)+1 per job) — the hot loop writes no cache line another
-// worker writes. When res is non-nil the shard scatters its own jobs'
-// entries into the job-order slice afterwards: a short parallel merge,
-// each shard touching only its own indices.
+// worker writes. The shard then scatters its own jobs' entries into the
+// job-order slice: a short parallel merge, each shard touching only its
+// own indices.
 func (e *Engine) runShard(s int, jobs []Job, res []Result, dense []int32, idx []int) {
 	phvs := e.phvs[s]
 	stride := len(e.out) + 1
@@ -1139,9 +992,6 @@ func (e *Engine) runShard(s int, jobs []Job, res []Result, dense []int32, idx []
 		}
 	}
 	e.shardRes[s].regRMWs.Add(phvRMWs(phvs) - rmw0)
-	if res == nil {
-		return
-	}
 	for k, i := range idx {
 		off := k * stride
 		res[i] = Result{Class: int(dense[off]), Outs: dense[off+1 : off+stride : off+stride]}

@@ -82,46 +82,46 @@ func TestEngineMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEngineRunStream checks the streaming entry point: results arrive
-// in submission order and match the batched replay, across chunk
-// boundaries and worker counts.
-func TestEngineRunStream(t *testing.T) {
+// TestRunBatchResultsSurviveLaterBatches pins the window path's
+// retention contract: every batch gets a fresh result arena, so the
+// results of a batch — inline single jobs and multi-shard batches alike
+// — stay valid while later batches run on the same engine, and a job
+// stream cut into uneven batches matches one whole-stream batch.
+func TestRunBatchResultsSurviveLaterBatches(t *testing.T) {
 	prog, k, out, class := engineTestProg(t)
 	rng := rand.New(rand.NewSource(23))
-	// More jobs than one stream chunk, to cross a micro-batch boundary.
-	jobs := make([]Job, streamChunk+513)
+	jobs := make([]Job, 2000)
 	for i := range jobs {
 		jobs[i] = Job{Hash: rng.Uint32(), In: []int32{int32(rng.Intn(256))}}
 	}
-	for _, workers := range []int{1, 4} {
-		e := NewEngine(prog, []FieldID{k}, []FieldID{out}, class, workers)
-		want := e.RunBatch(jobs)
-		in := make(chan Job)
-		outc := make(chan Result, 64)
-		go func() {
-			for _, j := range jobs {
-				in <- j
+	for _, mode := range []ExecMode{ExecCompiled, ExecInterpret} {
+		for _, workers := range []int{1, 4} {
+			e := NewChainEngineMode([]*Program{prog}, nil, []FieldID{k}, []FieldID{out}, class, workers, mode)
+			var kept [][]Result
+			for lo := 0; lo < len(jobs); {
+				hi := min(len(jobs), lo+1+rng.Intn(300))
+				if rng.Intn(4) == 0 {
+					hi = lo + 1 // a single job runs inline on a solo engine
+				}
+				kept = append(kept, e.RunBatch(jobs[lo:hi]))
+				lo = hi
 			}
-			close(in)
-		}()
-		var got []Result
-		done := make(chan int)
-		go func() { done <- e.RunStream(in, outc) }()
-		for r := range outc {
-			got = append(got, r)
-		}
-		if n := <-done; n != len(jobs) {
-			t.Fatalf("workers=%d: RunStream count %d, want %d", workers, n, len(jobs))
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: stream %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Class != want[i].Class || got[i].Outs[0] != want[i].Outs[0] {
-				t.Fatalf("workers=%d stream result %d: got %+v, want %+v", workers, i, got[i], want[i])
+			want := e.RunBatch(jobs)
+			e.Close()
+			i := 0
+			for _, res := range kept {
+				for _, r := range res {
+					if r.Class != want[i].Class || r.Outs[0] != want[i].Outs[0] || r.Outs[0] != 2*jobs[i].In[0] {
+						t.Fatalf("mode=%v workers=%d job %d: kept %+v, whole %+v (overwritten by a later batch?)",
+							mode, workers, i, r, want[i])
+					}
+					i++
+				}
+			}
+			if i != len(jobs) {
+				t.Fatalf("mode=%v workers=%d: %d results kept, want %d", mode, workers, i, len(jobs))
 			}
 		}
-		e.Close()
 	}
 }
 

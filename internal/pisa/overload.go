@@ -108,18 +108,25 @@ func (e *Engine) poison(cause any) {
 	e.poisoned.CompareAndSwap(nil, &poisonInfo{cause: cause})
 }
 
-// admit applies the session's shed policy (and the context deadline,
-// if any) to a submission of n packets: nil admits, *ErrOverloaded
-// sheds. ctx may be nil. Shed packets are accounted in the session's
-// Shed counters.
+// admit is the admission control in front of both context-taking
+// submissions: a poisoned session, a cancelled context, or a violation
+// of the session's shed policy (or of the context deadline, if any)
+// rejects a submission of n packets up front; nil admits. ctx may be
+// nil. Shed packets are accounted in the session's Shed counters.
 func (e *Engine) admit(ctx context.Context, n int) error {
-	maxQ := int(e.shedMaxQueue.Load())
-	maxW := time.Duration(e.shedMaxWait.Load())
+	if err := e.Poisoned(); err != nil {
+		return err
+	}
 	var deadline time.Time
 	hasDL := false
 	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		deadline, hasDL = ctx.Deadline()
 	}
+	maxQ := int(e.shedMaxQueue.Load())
+	maxW := time.Duration(e.shedMaxWait.Load())
 	if maxQ <= 0 && maxW <= 0 && !hasDL {
 		return nil
 	}
@@ -141,48 +148,23 @@ func (e *Engine) admit(ctx context.Context, n int) error {
 	return &ErrOverloaded{Session: e.name, Reason: reason, Depth: depth, Wait: wait, Packets: n}
 }
 
-// SubmitBatchCtx is SubmitBatch behind admission control: a poisoned
-// session, a cancelled context, or a shed-policy violation rejects the
-// batch up front (reject-newest) instead of queueing it. A nil error
+// SubmitBatchCtx is SubmitBatch behind admission control (see admit),
+// the context-taking submission of window jobs: a rejected batch is
+// refused up front (reject-newest) instead of queueing. A nil error
 // means the batch was admitted and behaves exactly like SubmitBatch.
 func (e *Engine) SubmitBatchCtx(ctx context.Context, jobs []Job) (*Pending, error) {
-	if err := e.Poisoned(); err != nil {
-		return nil, err
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
 	if err := e.admit(ctx, len(jobs)); err != nil {
 		return nil, err
 	}
 	return e.SubmitBatch(jobs), nil
 }
 
-// RunBatchCtx is RunBatch behind the same admission control as
-// SubmitBatchCtx.
-func (e *Engine) RunBatchCtx(ctx context.Context, jobs []Job) ([]Result, error) {
-	p, err := e.SubmitBatchCtx(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	res := p.Wait()
-	return res, p.Err()
-}
-
-// RunPacketsCtx is RunPackets behind admission control: the whole
-// packet batch is shed (registers untouched, no fires) when the
-// session is over its bounds or poisoned.
+// RunPacketsCtx is RunPackets behind the same admission control, the
+// context-taking submission of raw packets: a rejected batch is shed
+// whole — its packets never touch the flow-state registers and fire
+// nothing, the dataplane analogue of dropping on an overflowing ingress
+// queue. After an admitted run the error reports a poisoned session.
 func (e *Engine) RunPacketsCtx(ctx context.Context, pkts []PacketIn) ([]PacketResult, error) {
-	if err := e.Poisoned(); err != nil {
-		return nil, err
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
 	if err := e.admit(ctx, len(pkts)); err != nil {
 		return nil, err
 	}

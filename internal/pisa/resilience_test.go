@@ -3,6 +3,7 @@ package pisa
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -71,7 +72,7 @@ func TestShedPolicyBounds(t *testing.T) {
 	b.SetShedPolicy(ShedPolicy{})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	_, err = b.RunBatchCtx(ctx, jobs)
+	_, err = b.SubmitBatchCtx(ctx, jobs)
 	if !errors.As(err, &ov) || ov.Reason != "deadline" {
 		t.Fatalf("deadline submission returned %v, want ErrOverloaded(deadline)", err)
 	}
@@ -80,8 +81,8 @@ func TestShedPolicyBounds(t *testing.T) {
 	}
 
 	// The policy is removable: zero value admits again.
-	res, err := b.RunBatchCtx(context.Background(), jobs)
-	if err != nil || len(res) != 1 {
+	p, err := b.SubmitBatchCtx(context.Background(), jobs)
+	if err != nil || len(p.Wait()) != 1 {
 		t.Fatalf("post-shed admission failed: %v", err)
 	}
 }
@@ -108,9 +109,13 @@ func TestPanicIsolation(t *testing.T) {
 	want := b.RunBatch(jobs)
 
 	faultinject.Arm(faultinject.PanicSession, "doomed", 0, 1)
-	_, err := a.RunBatchCtx(context.Background(), jobs)
+	p, err := a.SubmitBatchCtx(context.Background(), jobs)
+	if err != nil {
+		t.Fatalf("healthy session refused the batch that panics: %v", err)
+	}
+	p.Wait()
 	var pe *ErrPoisoned
-	if !errors.As(err, &pe) {
+	if err := p.Err(); !errors.As(err, &pe) {
 		t.Fatalf("panicking batch returned %v, want ErrPoisoned", err)
 	}
 	if pe.Session != "doomed" {
@@ -122,10 +127,11 @@ func TestPanicIsolation(t *testing.T) {
 
 	// The pool survived: the co-resident session still classifies
 	// bit-identically.
-	got, err := b.RunBatchCtx(context.Background(), jobs)
+	p, err = b.SubmitBatchCtx(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("healthy session errored after peer panic: %v", err)
 	}
+	got := p.Wait()
 	for i := range got {
 		if got[i].Class != want[i].Class || got[i].Outs[0] != want[i].Outs[0] {
 			t.Fatalf("healthy session diverged at job %d after peer panic", i)
@@ -230,4 +236,81 @@ func TestSubmitBatchCtxCancelled(t *testing.T) {
 	if st := e.Stats(); st.Shed != 0 {
 		t.Fatalf("context cancellation counted as shed: %d", st.Shed)
 	}
+}
+
+// TestRunPacketsCtxShedsWhole pins admission control on the packet
+// kind: a batch shed by the wait or deadline bound, refused for a
+// cancelled context or refused by a poisoned session never touches the
+// flow-state registers and fires nothing, so the admitted batches alone
+// fire exactly what a twin engine fires over the same trace.
+func TestRunPacketsCtxShedsWhole(t *testing.T) {
+	defer faultinject.Reset()
+	prog, meta, outs := randStatefulProgram(t, rand.New(rand.NewSource(43)), 8)
+	twinProg, twinMeta, twinOuts := randStatefulProgram(t, rand.New(rand.NewSource(43)), 8)
+	twin := newPacketEngine(twinProg, twinMeta, twinOuts, twinOuts[0], 1, ExecCompiled)
+	defer twin.Close()
+	s := NewScheduler(1)
+	defer s.Close()
+	e := s.NewChainEngine("pkts", []*Program{prog}, nil, nil, outs, outs[0], 1, ExecCompiled)
+	defer e.Close()
+	e.ConfigurePackets(meta)
+	pkts := randSlicedPackets(rand.New(rand.NewSource(44)), 400)
+
+	admitted := func(tag string, ctx context.Context) {
+		t.Helper()
+		got, err := e.RunPacketsCtx(ctx, pkts)
+		if err != nil {
+			t.Fatalf("%s: admitted batch returned %v", tag, err)
+		}
+		sameRows(t, tag, got, twin.RunPackets(pkts))
+	}
+	refused := func(tag string, ctx context.Context, want func(error) bool) {
+		t.Helper()
+		regs, st := snapshotRegs(prog), e.Stats()
+		res, err := e.RunPacketsCtx(ctx, pkts)
+		if res != nil || !want(err) {
+			t.Fatalf("%s: returned %d fires and %v", tag, len(res), err)
+		}
+		if now := e.Stats(); now.RegRMWs != st.RegRMWs || now.Fires != st.Fires || now.Tasks != st.Tasks {
+			t.Fatalf("%s: refused batch ran: %+v, before %+v", tag, now, st)
+		}
+		for r, cells := range snapshotRegs(prog) {
+			for c, v := range cells {
+				if v != regs[r][c] {
+					t.Fatalf("%s: register %d cell %d moved %d -> %d", tag, r, c, regs[r][c], v)
+				}
+			}
+		}
+	}
+	overloaded := func(reason string) func(error) bool {
+		return func(err error) bool {
+			var ov *ErrOverloaded
+			return errors.As(err, &ov) && ov.Reason == reason && ov.Packets == len(pkts)
+		}
+	}
+
+	admitted("first", context.Background())
+	// A recent wait far above the bounds below, as a backed-up queue
+	// would leave it.
+	e.stWaitEWMA.Store(int64(time.Hour))
+	e.SetShedPolicy(ShedPolicy{MaxWait: time.Millisecond})
+	refused("wait bound", context.Background(), overloaded("wait"))
+	e.SetShedPolicy(ShedPolicy{})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	refused("deadline", ctx, overloaded("deadline"))
+	cancelled, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	refused("cancelled", cancelled, func(err error) bool { return errors.Is(err, context.Canceled) })
+	if st := e.Stats(); st.Shed != uint64(2*len(pkts)) || st.ShedBatches != 2 {
+		t.Fatalf("shed counters: %d packets in %d batches, want %d in 2", st.Shed, st.ShedBatches, 2*len(pkts))
+	}
+	admitted("after the sheds", context.Background())
+
+	faultinject.Arm(faultinject.PanicSession, "pkts", 0, 1)
+	var pe *ErrPoisoned
+	if _, err := e.RunPacketsCtx(context.Background(), pkts); !errors.As(err, &pe) {
+		t.Fatalf("panicking batch returned %v, want ErrPoisoned", err)
+	}
+	refused("poisoned", context.Background(), func(err error) bool { return errors.As(err, &pe) })
 }

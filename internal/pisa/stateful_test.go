@@ -3,7 +3,6 @@ package pisa
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -711,72 +710,83 @@ func TestRegExchSemantics(t *testing.T) {
 	}
 }
 
-// TestRunPacketStreamConcurrent drives the per-packet streaming path
-// with concurrent producer/consumer goroutines (the CI race target) and
-// checks the fired results stay in arrival order.
-func TestRunPacketStreamConcurrent(t *testing.T) {
+// TestRunPacketsChunkedMatchesWhole pins that flow state persists
+// across RunPackets calls: a trace cut into uneven batches — single
+// packets among them — fires exactly what one whole-trace call fires,
+// with each batch's Pkt indices local to it, in both exec modes.
+func TestRunPacketsChunkedMatchesWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	prog, meta, outs := randStatefulProgram(t, rng, 8)
-	eng := newPacketEngine(prog, meta, outs, outs[0], 4, ExecCompiled)
-	defer eng.Close()
-	prog.ResetState()
-
-	pkts := make([]PacketIn, 5000)
-	for i := range pkts {
-		pkts[i] = PacketIn{Hash: rng.Uint32(), Fields: []int32{int32(rng.Intn(3)), int32(rng.Intn(100))}}
-	}
-	in := make(chan PacketIn, 128)
-	out := make(chan PacketResult, 128)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, p := range pkts {
-			in <- p
-		}
-		close(in)
-	}()
-	var got []PacketResult
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := range out {
-			got = append(got, r)
-		}
-	}()
-	packets, fires := eng.RunPacketStream(in, out)
-	wg.Wait()
-	if packets != len(pkts) {
-		t.Fatalf("streamed %d packets, want %d", packets, len(pkts))
-	}
-	if fires != len(got) {
-		t.Fatalf("reported %d fires, collected %d", fires, len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Pkt <= got[i-1].Pkt {
-			t.Fatalf("fires out of order: %d after %d", got[i].Pkt, got[i-1].Pkt)
-		}
-	}
-	// The 5000-packet trace spans several micro-batches; streamed Outs
-	// are detached copies, so every retained result must match a fresh
-	// whole-trace batch replay (stale-buffer aliasing would show the
-	// last micro-batch's values here).
-	prog.ResetState()
-	want := eng.RunPackets(pkts)
-	if len(want) != len(got) {
-		t.Fatalf("batch replay fired %d, stream %d", len(want), len(got))
-	}
-	for i := range want {
-		if got[i].Pkt != want[i].Pkt || got[i].Class != want[i].Class {
-			t.Fatalf("fire %d: stream (pkt %d class %d), batch (pkt %d class %d)",
-				i, got[i].Pkt, got[i].Class, want[i].Pkt, want[i].Class)
-		}
-		for j := range want[i].Outs {
-			if got[i].Outs[j] != want[i].Outs[j] {
-				t.Fatalf("fire %d out[%d]: stream %d, batch %d (stale buffer aliasing?)",
-					i, j, got[i].Outs[j], want[i].Outs[j])
+	pkts := randSlicedPackets(rng, 5000)
+	for _, workers := range []int{1, 4} {
+		for _, mode := range []ExecMode{ExecInterpret, ExecCompiled} {
+			eng := newPacketEngine(prog, meta, outs, outs[0], workers, mode)
+			prog.ResetState()
+			var got []PacketResult
+			for lo := 0; lo < len(pkts); {
+				hi := min(len(pkts), lo+1+rng.Intn(700))
+				for _, r := range eng.RunPackets(pkts[lo:hi]) {
+					// Outs alias staging the next call overwrites.
+					r.Pkt += lo
+					r.Outs = append([]int32(nil), r.Outs...)
+					got = append(got, r)
+				}
+				lo = hi
 			}
+			prog.ResetState()
+			want := eng.RunPackets(pkts)
+			eng.Close()
+			if len(want) == 0 {
+				t.Fatal("the whole trace fired nothing")
+			}
+			sameRows(t, fmt.Sprintf("[%v w%d]", mode, workers), got, want)
 		}
+	}
+}
+
+// TestRunPacketsStatsAccounting pins the packet path's session
+// counters: an empty batch is a no-op (nil result, no task, no count),
+// a one-packet batch on a multi-shard solo engine runs as exactly one
+// inline task, and over a chunked replay Packets, Fires and RegRMWs
+// add up to what the batches returned and to what an interpreter engine
+// counts over the same trace.
+func TestRunPacketsStatsAccounting(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	prog, meta, outs := randStatefulProgram(t, rng, 8)
+	pkts := randSlicedPackets(rng, 3000)
+	var rmws []uint64
+	for _, mode := range []ExecMode{ExecInterpret, ExecCompiled} {
+		eng := newPacketEngine(prog, meta, outs, outs[0], 4, mode)
+		prog.ResetState()
+		if res := eng.RunPackets(nil); res != nil {
+			t.Fatalf("%v: empty batch returned %d fires", mode, len(res))
+		}
+		if st := eng.Stats(); st.Tasks != 0 || st.Packets != 0 || st.Fires != 0 || st.RegRMWs != 0 {
+			t.Fatalf("%v: empty batch was accounted: %+v", mode, st)
+		}
+		fires := len(eng.RunPackets(pkts[:1]))
+		if st := eng.Stats(); st.Tasks != 1 || st.Packets != 1 || st.Fires != uint64(fires) {
+			t.Fatalf("%v: one-packet batch accounted as %d tasks, %d packets, %d fires (returned %d)",
+				mode, st.Tasks, st.Packets, st.Fires, fires)
+		}
+		for lo := 1; lo < len(pkts); {
+			hi := min(len(pkts), lo+1+rng.Intn(500))
+			fires += len(eng.RunPackets(pkts[lo:hi]))
+			lo = hi
+		}
+		st := eng.Stats()
+		eng.Close()
+		if st.Packets != uint64(len(pkts)) || st.Fires != uint64(fires) || fires == 0 {
+			t.Fatalf("%v: counted %d packets and %d fires, replayed %d and returned %d",
+				mode, st.Packets, st.Fires, len(pkts), fires)
+		}
+		if st.RegRMWs == 0 {
+			t.Fatalf("%v: a stateful replay counted no register RMWs", mode)
+		}
+		rmws = append(rmws, st.RegRMWs)
+	}
+	if rmws[0] != rmws[1] {
+		t.Fatalf("RegRMWs: interpreter %d, compiled %d", rmws[0], rmws[1])
 	}
 }
 

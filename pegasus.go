@@ -36,14 +36,12 @@
 // validating new emitters. Select per engine with
 // Emitted.NewEngineMode(workers, mode).
 //
-// The engine itself is a persistent streaming pool: workers start once
-// and are fed shard chunks over channels, either from pre-built
-// batches (RunBatch) or from a channel of packets drained into
-// adaptive micro-batches (RunStream). Close stops the pool.
+// The engine itself is a persistent pool: workers start once and are
+// fed one shard task per batch (RunBatch). Close stops the pool.
 //
 // # Per-packet execution
 //
-// RunBatch/RunStream replay pre-extracted feature windows. The
+// RunBatch replays pre-extracted feature windows. The
 // per-packet path instead consumes raw traces: EmitPackets compiles
 // the model's Table-6 feature-extraction state machine in front of the
 // inference program — flow hash → register slot, one register
@@ -356,13 +354,14 @@ type (
 )
 
 // Batched switch-execution engine types: concurrent replay of an
-// emitted program over packet batches or streams, sharded by flow hash
-// so per-flow state stays consistent.
+// emitted program over batches of windows or raw packets, sharded by
+// flow hash so per-flow state stays consistent.
 type (
 	// Engine is the flow-sharded execution session of one emitted
 	// program (chains the pipes of multi-pipeline emissions; RunBatch
-	// for batches, RunStream for channels of packets; Close releases
-	// the session and, for solo engines, stops the pool).
+	// for window jobs, RunPackets for raw packets, SubmitBatchCtx and
+	// RunPacketsCtx behind admission control; Close releases the
+	// session and, for solo engines, stops the pool).
 	Engine = pisa.Engine
 	// Scheduler is the shared fixed-budget worker pool serving any
 	// number of registered engines with weighted fair draining —
